@@ -1,64 +1,54 @@
-"""Hot numeric kernels: numba-jitted when available, pure numpy otherwise.
+"""Hot numeric kernels, in numpy and scipy.
 
-Every kernel exists in two interchangeable implementations. The active one is
-picked at import time: numba is used when it is installed and the environment
-variable HOITG_NUMBA is not set to 0/false/no. ``BACKEND`` records the choice,
-``implementations()`` exposes both variants for equivalence tests and for the
-benchmark in benchmarks/bench_kernels.py.
-
-All kernels are dtype-generic (float32 for training, float64 for the gradient
-check harness) and allocation-light inner loops, which is exactly where the
-jit pays off: pairwise distances, nearest-neighbor scans, farthest point
-sampling, bilinear sampling, patch extraction for convolutions, and point
-splatting.
+Every kernel works on whole arrays: pairwise distances and KD-tree
+nearest-neighbor distances, farthest point sampling, the exact erf GeLU,
+bilinear sampling and its gradient, patch extraction for convolutions, and
+point splatting. All are dtype-generic (float32 for training, float64 for
+the gradient check harness).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import erf as _scipy_erf
+
+BACKEND = "numpy"
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_WANT_NUMBA = os.environ.get("HOITG_NUMBA", "1").strip().lower() not in ("0", "false", "no")
 
-try:
-    if not _WANT_NUMBA:
-        raise ImportError("numba disabled via HOITG_NUMBA")
-    from numba import njit
+def pairwise_distances(a, b):
+    """Euclidean distance matrix between point sets a (n,3) and b (m,3).
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
-
-def _pairwise_distances_np(a, b):
-    """Euclidean distance matrix between point sets a (n,3) and b (m,3)."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    Squares are summed one coordinate at a time, in the order a sum over the
+    coordinate axis takes, so no (n, m, 3) array is built.
+    """
+    sq = np.zeros((len(a), len(b)), dtype=np.result_type(a, b))
+    for k in range(a.shape[1]):
+        d = np.subtract.outer(a[:, k], b[:, k])
+        sq += d * d
+    return np.sqrt(sq)
 
 
-def _min_distances_np(a, b):
-    """Per-row distance from each point of a to its nearest point of b."""
-    return _pairwise_distances_np(a, b).min(axis=1)
+def min_distances(a, b):
+    """Per-row distance from each point of a to its nearest point of b.
+
+    Rows of a with a NaN or inf coordinate get NaN, and so does every row
+    when b has one: a KD-tree cannot hold or query non-finite points.
+    """
+    out = np.full(len(a), np.nan)
+    finite = np.isfinite(a).all(axis=1)
+    if np.isfinite(b).all():
+        out[finite] = cKDTree(b).query(a[finite])[0]
+    return out
 
 
-def _nn_mean_distance_np(a, b):
-    """Mean over a of the nearest-neighbor distance into b."""
-    return float(_min_distances_np(a, b).mean())
-
-
-def _fps_np(points, m, start):
+def fps(points, m, start):
     """Greedy farthest point sampling; ties resolved to the lowest index."""
-    n = points.shape[0]
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = start
     dist = np.sqrt(((points - points[start]) ** 2).sum(axis=1))
@@ -70,18 +60,18 @@ def _fps_np(points, m, start):
     return chosen
 
 
-def _gelu_forward_np(x):
+def gelu_forward(x):
     phi = 0.5 * (1.0 + _scipy_erf(x * _SQRT1_2))
     return x * phi
 
 
-def _gelu_grad_np(x):
+def gelu_grad(x):
     phi = 0.5 * (1.0 + _scipy_erf(x * _SQRT1_2))
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return phi + x * pdf
 
 
-def _bilinear_forward_np(grid, u, v):
+def bilinear_forward(grid, u, v):
     """Sample grid (C,h,w) at continuous pixel coords (u along w, v along h).
 
     Coordinates are clamped to the border. Returns (n, C).
@@ -105,7 +95,7 @@ def _bilinear_forward_np(grid, u, v):
     return np.ascontiguousarray(out)
 
 
-def _bilinear_backward_np(grid, u, v, dout):
+def bilinear_backward(grid, u, v, dout):
     """Gradients of bilinear sampling wrt the grid and the raw coordinates.
 
     Returns (dgrid, du, dv); du/dv are zero where the coordinate was clamped.
@@ -139,7 +129,7 @@ def _bilinear_backward_np(grid, u, v, dout):
     return dgrid, du, dv
 
 
-def _im2col_np(xp, kh, kw, sh, sw, ho, wo):
+def im2col(xp, kh, kw, sh, sw, ho, wo):
     """Extract conv patches from padded input (C,Hp,Wp) -> (ho*wo, C*kh*kw)."""
     c = xp.shape[0]
     cols = np.empty((c, kh, kw, ho, wo), dtype=xp.dtype)
@@ -149,7 +139,7 @@ def _im2col_np(xp, kh, kw, sh, sw, ho, wo):
     return cols.reshape(c * kh * kw, ho * wo).T.copy()
 
 
-def _col2im_np(cols, c, hp, wp, kh, kw, sh, sw, ho, wo):
+def col2im(cols, c, hp, wp, kh, kw, sh, sw, ho, wo):
     """Scatter-add conv patch gradients back onto the padded input."""
     xp = np.zeros((c, hp, wp), dtype=cols.dtype)
     cr = cols.T.reshape(c, kh, kw, ho, wo)
@@ -159,312 +149,24 @@ def _col2im_np(cols, c, hp, wp, kh, kw, sh, sw, ho, wo):
     return xp
 
 
-def _splat_np(px, py, z, h, w):
+def splat(px, py, z, h, w):
     """Splat points with a 3x3 footprint; nearest point (largest z) wins.
 
-    Returns (mask, depth) as (h, w) float arrays; depth holds raw z values
-    where the mask is set and -inf elsewhere (the caller normalizes).
+    Pixel centers are rounded half to even. Returns (mask, depth) as (h, w)
+    float arrays; depth holds raw z values where the mask is set and -inf
+    elsewhere (the caller normalizes).
     """
-    mask = np.zeros((h, w), dtype=np.float64)
-    depth = np.full((h, w), -np.inf, dtype=np.float64)
-    n = px.shape[0]
-    for i in range(n):
-        cx = int(round(float(px[i])))
-        cy = int(round(float(py[i])))
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                x = cx + dx
-                y = cy + dy
-                if 0 <= x < w and 0 <= y < h:
-                    mask[y, x] = 1.0
-                    if z[i] > depth[y, x]:
-                        depth[y, x] = z[i]
-    return mask, depth
-
-
-_IMPL_NUMPY = {
-    "pairwise_distances": _pairwise_distances_np,
-    "min_distances": _min_distances_np,
-    "nn_mean_distance": _nn_mean_distance_np,
-    "fps": _fps_np,
-    "gelu_forward": _gelu_forward_np,
-    "gelu_grad": _gelu_grad_np,
-    "bilinear_forward": _bilinear_forward_np,
-    "bilinear_backward": _bilinear_backward_np,
-    "im2col": _im2col_np,
-    "col2im": _col2im_np,
-    "splat": _splat_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _pairwise_distances_nb(a, b):
-        n = a.shape[0]
-        m = b.shape[0]
-        out = np.empty((n, m), dtype=a.dtype)
-        for i in range(n):
-            for j in range(m):
-                dx = a[i, 0] - b[j, 0]
-                dy = a[i, 1] - b[j, 1]
-                dz = a[i, 2] - b[j, 2]
-                out[i, j] = math.sqrt(dx * dx + dy * dy + dz * dz)
-        return out
-
-    @njit(cache=True)
-    def _min_distances_nb(a, b):
-        n = a.shape[0]
-        m = b.shape[0]
-        out = np.empty(n, dtype=a.dtype)
-        for i in range(n):
-            best = np.inf
-            for j in range(m):
-                dx = a[i, 0] - b[j, 0]
-                dy = a[i, 1] - b[j, 1]
-                dz = a[i, 2] - b[j, 2]
-                d = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if d < best:
-                    best = d
-            out[i] = best
-        return out
-
-    @njit(cache=True)
-    def _nn_mean_distance_nb(a, b):
-        n = a.shape[0]
-        m = b.shape[0]
-        acc = 0.0
-        for i in range(n):
-            best = np.inf
-            for j in range(m):
-                dx = a[i, 0] - b[j, 0]
-                dy = a[i, 1] - b[j, 1]
-                dz = a[i, 2] - b[j, 2]
-                d = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if d < best:
-                    best = d
-            acc += best
-        return acc / n
-
-    @njit(cache=True)
-    def _fps_nb(points, m, start):
-        n = points.shape[0]
-        chosen = np.empty(m, dtype=np.int64)
-        chosen[0] = start
-        dist = np.empty(n, dtype=points.dtype)
-        for i in range(n):
-            dx = points[i, 0] - points[start, 0]
-            dy = points[i, 1] - points[start, 1]
-            dz = points[i, 2] - points[start, 2]
-            dist[i] = math.sqrt(dx * dx + dy * dy + dz * dz)
-        for k in range(1, m):
-            nxt = 0
-            best = -1.0
-            for i in range(n):
-                if dist[i] > best:
-                    best = dist[i]
-                    nxt = i
-            chosen[k] = nxt
-            for i in range(n):
-                dx = points[i, 0] - points[nxt, 0]
-                dy = points[i, 1] - points[nxt, 1]
-                dz = points[i, 2] - points[nxt, 2]
-                d = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if d < dist[i]:
-                    dist[i] = d
-        return chosen
-
-    @njit(cache=True)
-    def _gelu_forward_nb(x):
-        flat = x.ravel()
-        out = np.empty_like(flat)
-        for i in range(flat.shape[0]):
-            v = flat[i]
-            out[i] = v * 0.5 * (1.0 + math.erf(v * _SQRT1_2))
-        return out.reshape(x.shape)
-
-    @njit(cache=True)
-    def _gelu_grad_nb(x):
-        flat = x.ravel()
-        out = np.empty_like(flat)
-        for i in range(flat.shape[0]):
-            v = flat[i]
-            phi = 0.5 * (1.0 + math.erf(v * _SQRT1_2))
-            pdf = math.exp(-0.5 * v * v) * _INV_SQRT_2PI
-            out[i] = phi + v * pdf
-        return out.reshape(x.shape)
-
-    @njit(cache=True)
-    def _bilinear_forward_nb(grid, u, v):
-        c, h, w = grid.shape
-        n = u.shape[0]
-        out = np.empty((n, c), dtype=grid.dtype)
-        for i in range(n):
-            uc = min(max(u[i], 0.0), w - 1.0)
-            vc = min(max(v[i], 0.0), h - 1.0)
-            u0 = int(math.floor(uc))
-            v0 = int(math.floor(vc))
-            u1 = min(u0 + 1, w - 1)
-            v1 = min(v0 + 1, h - 1)
-            fu = uc - u0
-            fv = vc - v0
-            w00 = (1.0 - fv) * (1.0 - fu)
-            w01 = (1.0 - fv) * fu
-            w10 = fv * (1.0 - fu)
-            w11 = fv * fu
-            for ch in range(c):
-                out[i, ch] = (
-                    w00 * grid[ch, v0, u0]
-                    + w01 * grid[ch, v0, u1]
-                    + w10 * grid[ch, v1, u0]
-                    + w11 * grid[ch, v1, u1]
-                )
-        return out
-
-    @njit(cache=True)
-    def _bilinear_backward_nb(grid, u, v, dout):
-        c, h, w = grid.shape
-        n = u.shape[0]
-        dgrid = np.zeros_like(grid)
-        du = np.zeros(n, dtype=grid.dtype)
-        dv = np.zeros(n, dtype=grid.dtype)
-        for i in range(n):
-            uc = min(max(u[i], 0.0), w - 1.0)
-            vc = min(max(v[i], 0.0), h - 1.0)
-            u0 = int(math.floor(uc))
-            v0 = int(math.floor(vc))
-            u1 = min(u0 + 1, w - 1)
-            v1 = min(v0 + 1, h - 1)
-            fu = uc - u0
-            fv = vc - v0
-            su = 0.0
-            sv = 0.0
-            for ch in range(c):
-                g = dout[i, ch]
-                dgrid[ch, v0, u0] += g * (1.0 - fv) * (1.0 - fu)
-                dgrid[ch, v0, u1] += g * (1.0 - fv) * fu
-                dgrid[ch, v1, u0] += g * fv * (1.0 - fu)
-                dgrid[ch, v1, u1] += g * fv * fu
-                su += g * (
-                    (1.0 - fv) * (grid[ch, v0, u1] - grid[ch, v0, u0])
-                    + fv * (grid[ch, v1, u1] - grid[ch, v1, u0])
-                )
-                sv += g * (
-                    (1.0 - fu) * (grid[ch, v1, u0] - grid[ch, v0, u0])
-                    + fu * (grid[ch, v1, u1] - grid[ch, v0, u1])
-                )
-            if 0.0 <= u[i] <= w - 1.0:
-                du[i] = su
-            if 0.0 <= v[i] <= h - 1.0:
-                dv[i] = sv
-        return dgrid, du, dv
-
-    @njit(cache=True)
-    def _im2col_nb(xp, kh, kw, sh, sw, ho, wo):
-        c = xp.shape[0]
-        out = np.empty((ho * wo, c * kh * kw), dtype=xp.dtype)
-        for oy in range(ho):
-            for ox in range(wo):
-                row = oy * wo + ox
-                col = 0
-                for ch in range(c):
-                    for ky in range(kh):
-                        for kx in range(kw):
-                            out[row, col] = xp[ch, oy * sh + ky, ox * sw + kx]
-                            col += 1
-        return out
-
-    @njit(cache=True)
-    def _col2im_nb(cols, c, hp, wp, kh, kw, sh, sw, ho, wo):
-        xp = np.zeros((c, hp, wp), dtype=cols.dtype)
-        for oy in range(ho):
-            for ox in range(wo):
-                row = oy * wo + ox
-                col = 0
-                for ch in range(c):
-                    for ky in range(kh):
-                        for kx in range(kw):
-                            xp[ch, oy * sh + ky, ox * sw + kx] += cols[row, col]
-                            col += 1
-        return xp
-
-    @njit(cache=True)
-    def _splat_nb(px, py, z, h, w):
-        mask = np.zeros((h, w), dtype=np.float64)
-        depth = np.full((h, w), -np.inf, dtype=np.float64)
-        n = px.shape[0]
-        for i in range(n):
-            cx = int(round(px[i]))
-            cy = int(round(py[i]))
-            for dy in range(-1, 2):
-                for dx in range(-1, 2):
-                    x = cx + dx
-                    y = cy + dy
-                    if 0 <= x < w and 0 <= y < h:
-                        mask[y, x] = 1.0
-                        if z[i] > depth[y, x]:
-                            depth[y, x] = z[i]
-        return mask, depth
-
-    _IMPL_NUMBA = {
-        "pairwise_distances": _pairwise_distances_nb,
-        "min_distances": _min_distances_nb,
-        "nn_mean_distance": _nn_mean_distance_nb,
-        "fps": _fps_nb,
-        "gelu_forward": _gelu_forward_nb,
-        "gelu_grad": _gelu_grad_nb,
-        "bilinear_forward": _bilinear_forward_nb,
-        "bilinear_backward": _bilinear_backward_nb,
-        "im2col": _im2col_nb,
-        "col2im": _col2im_nb,
-        "splat": _splat_nb,
-    }
-else:
-    _IMPL_NUMBA = None
-
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-_ACTIVE = _IMPL_NUMBA if HAS_NUMBA else _IMPL_NUMPY
-
-pairwise_distances = _ACTIVE["pairwise_distances"]
-min_distances = _ACTIVE["min_distances"]
-nn_mean_distance = _ACTIVE["nn_mean_distance"]
-fps = _ACTIVE["fps"]
-gelu_forward = _ACTIVE["gelu_forward"]
-gelu_grad = _ACTIVE["gelu_grad"]
-bilinear_forward = _ACTIVE["bilinear_forward"]
-bilinear_backward = _ACTIVE["bilinear_backward"]
-im2col = _ACTIVE["im2col"]
-col2im = _ACTIVE["col2im"]
-splat = _ACTIVE["splat"]
-
-
-def implementations():
-    """Both implementation tables: {'numpy': {...}, 'numba': {...} or None}."""
-    return {"numpy": _IMPL_NUMPY, "numba": _IMPL_NUMBA}
-
-
-def warmup():
-    """Trigger jit compilation of every kernel on tiny inputs."""
-    a = np.zeros((4, 3))
-    b = np.ones((3, 3))
-    pairwise_distances(a, b)
-    min_distances(a, b)
-    nn_mean_distance(a, b)
-    fps(np.random.default_rng(0).normal(size=(8, 3)), 4, 0)
-    x = np.linspace(-2, 2, 8)
-    gelu_forward(x)
-    gelu_grad(x)
-    grid = np.zeros((2, 4, 4))
-    u = np.array([0.5, 1.5])
-    v = np.array([0.5, 2.5])
-    bilinear_forward(grid, u, v)
-    bilinear_backward(grid, u, v, np.ones((2, 2)))
-    xp = np.zeros((2, 6, 6))
-    cols = im2col(xp, 3, 3, 2, 2, 2, 2)
-    col2im(cols, 2, 6, 6, 3, 3, 2, 2, 2, 2)
-    splat(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.1, 0.2]), 8, 8)
+    # clipping keeps far-off points off the frame without int64 overflow
+    cx = np.clip(np.rint(px), -2, w + 1).astype(np.int64)
+    cy = np.clip(np.rint(py), -2, h + 1).astype(np.int64)
+    off = np.arange(-1, 2)
+    x = (cx[:, None] + np.tile(off, 3)).ravel()  # the 9 footprint pixels of each point
+    y = (cy[:, None] + np.repeat(off, 3)).ravel()
+    keep = (x >= 0) & (x < w) & (y >= 0) & (y < h)
+    flat = y[keep] * w + x[keep]
+    mask = np.zeros(h * w, dtype=np.float64)
+    mask[flat] = 1.0
+    depth = np.full(h * w, -np.inf, dtype=np.float64)
+    # fmax skips a NaN z, as a per-point "z > depth" test would
+    np.fmax.at(depth, flat, np.repeat(np.asarray(z, dtype=np.float64), 9)[keep])
+    return mask.reshape(h, w), depth.reshape(h, w)

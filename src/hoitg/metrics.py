@@ -63,8 +63,8 @@ def chamfer(a, b) -> float:
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ParameterError("chamfer: point sets must be non-empty")
-    d_ab = kernels.nn_mean_distance(a, b)
-    d_ba = kernels.nn_mean_distance(b, a)
+    d_ab = kernels.min_distances(a, b).mean()
+    d_ba = kernels.min_distances(b, a).mean()
     return float(0.5 * (d_ab + d_ba) * 100.0)
 
 

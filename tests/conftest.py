@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from hoitg import kernels, model, scenegen
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
+from hoitg import model, scenegen
 
 
 @pytest.fixture(scope="session")

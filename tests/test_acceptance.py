@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hoitg import diffcore as dc
-from hoitg import harness, kernels, losses, meshkit, metrics, model, scenegen
+from hoitg import harness, losses, meshkit, metrics, model, scenegen
 
 
 def _report(criterion, ok, detail):
@@ -36,7 +36,6 @@ def _off_lattice_points(rng, h, w, n):
 
 def test_criterion_1_gradient_suite(mini_assets):
     t0 = time.monotonic()
-    kernels.warmup()
     failures = []
     cases = 50
 

@@ -1,91 +1,188 @@
-"""The numba and numpy kernel implementations must be interchangeable."""
+"""Every kernel against an independent brute-force loop oracle."""
+
+import math
 
 import numpy as np
 import pytest
 
 from hoitg import kernels
 
-IMPLS = kernels.implementations()
-BACKENDS = [name for name, table in IMPLS.items() if table is not None]
+
+@pytest.fixture()
+def rng():
+    return np.random.default_rng(7)
 
 
-def test_backend_consistency():
-    assert kernels.BACKEND in ("numpy", "numba")
-    assert (kernels.BACKEND == "numba") == kernels.HAS_NUMBA
+def _dist(p, q):
+    total = 0.0
+    for x, y in zip(p, q):
+        d = float(x) - float(y)
+        total += d * d
+    return math.sqrt(total)
 
 
-@pytest.mark.skipif(IMPLS["numba"] is None, reason="numba unavailable")
-class TestBackendsAgree:
-    def setup_method(self):
-        self.rng = np.random.default_rng(7)
-
-    def test_pairwise_and_min_distances(self):
-        a = self.rng.normal(size=(40, 3))
-        b = self.rng.normal(size=(25, 3))
-        d_np = IMPLS["numpy"]["pairwise_distances"](a, b)
-        d_nb = IMPLS["numba"]["pairwise_distances"](a, b)
-        assert np.allclose(d_np, d_nb, rtol=1e-12, atol=1e-13)
-        m_np = IMPLS["numpy"]["min_distances"](a, b)
-        m_nb = IMPLS["numba"]["min_distances"](a, b)
-        assert np.allclose(m_np, m_nb, rtol=1e-12, atol=1e-13)
-        assert abs(
-            IMPLS["numpy"]["nn_mean_distance"](a, b) - IMPLS["numba"]["nn_mean_distance"](a, b)
-        ) < 1e-12
-
-    def test_fps_identical_picks(self):
-        pts = self.rng.normal(size=(60, 3))
-        for m, start in [(1, 0), (10, 3), (60, 59)]:
-            assert np.array_equal(
-                IMPLS["numpy"]["fps"](pts, m, start), IMPLS["numba"]["fps"](pts, m, start)
-            )
-
-    def test_gelu(self):
-        x = self.rng.normal(size=257) * 3
-        assert np.allclose(
-            IMPLS["numpy"]["gelu_forward"](x), IMPLS["numba"]["gelu_forward"](x), atol=1e-14
-        )
-        assert np.allclose(
-            IMPLS["numpy"]["gelu_grad"](x), IMPLS["numba"]["gelu_grad"](x), atol=1e-14
-        )
-
-    def test_bilinear(self):
-        grid = self.rng.normal(size=(6, 9, 7))
-        u = self.rng.uniform(-1, 8, size=30)
-        v = self.rng.uniform(-1, 10, size=30)
-        dout = self.rng.normal(size=(30, 6))
-        f_np = IMPLS["numpy"]["bilinear_forward"](grid, u, v)
-        f_nb = IMPLS["numba"]["bilinear_forward"](grid, u, v)
-        assert np.allclose(f_np, f_nb, atol=1e-13)
-        b_np = IMPLS["numpy"]["bilinear_backward"](grid, u, v, dout)
-        b_nb = IMPLS["numba"]["bilinear_backward"](grid, u, v, dout)
-        for x, y in zip(b_np, b_nb):
-            assert np.allclose(x, y, atol=1e-12)
-
-    def test_im2col_roundtrip(self):
-        x = self.rng.normal(size=(4, 12, 11))
-        cols_np = IMPLS["numpy"]["im2col"](x, 3, 3, 2, 2, 5, 5)
-        cols_nb = IMPLS["numba"]["im2col"](x, 3, 3, 2, 2, 5, 5)
-        assert np.array_equal(cols_np, cols_nb)
-        back_np = IMPLS["numpy"]["col2im"](cols_np, 4, 12, 11, 3, 3, 2, 2, 5, 5)
-        back_nb = IMPLS["numba"]["col2im"](cols_nb, 4, 12, 11, 3, 3, 2, 2, 5, 5)
-        assert np.allclose(back_np, back_nb, atol=1e-13)
-
-    def test_splat(self):
-        px = self.rng.uniform(-2, 18, size=50)
-        py = self.rng.uniform(-2, 18, size=50)
-        z = self.rng.normal(size=50)
-        m_np, d_np = IMPLS["numpy"]["splat"](px, py, z, 16, 16)
-        m_nb, d_nb = IMPLS["numba"]["splat"](px, py, z, 16, 16)
-        assert np.array_equal(m_np, m_nb)
-        assert np.array_equal(d_np, d_nb)
+def test_pairwise_and_min_distances_match_loops(rng):
+    # same arithmetic in the same order, so the results are bit-equal
+    for n, m in [(1, 1), (40, 25), (7, 300)]:
+        a = rng.normal(size=(n, 3))
+        b = rng.normal(size=(m, 3))
+        expected = np.array([[_dist(p, q) for q in b] for p in a])
+        assert np.array_equal(kernels.pairwise_distances(a, b), expected)
+        assert np.array_equal(kernels.min_distances(a, b), expected.min(axis=1))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_gelu_matches_reference(backend):
-    # independent scalar oracle: x * Phi(x) evaluated via the error function
-    import math
+def test_min_distances_of_coincident_points_are_zero(rng):
+    a = rng.normal(size=(30, 3))
+    assert np.array_equal(kernels.min_distances(a, a[::-1].copy()), np.zeros(30))
 
-    xs = np.array([-3.0, -1.0, -0.1, 0.0, 0.5, 1.0, 4.0])
+
+def test_min_distances_non_finite_rows_are_nan(rng):
+    a = rng.normal(size=(6, 3))
+    b = rng.normal(size=(5, 3))
+    a[1, 0] = np.nan
+    a[4, 2] = np.inf
+    got = kernels.min_distances(a, b)
+    assert np.isnan(got[[1, 4]]).all()
+    keep = [0, 2, 3, 5]
+    assert np.array_equal(got[keep], kernels.min_distances(a[keep], b))
+    for bad in (np.nan, -np.inf):
+        b2 = b.copy()
+        b2[3, 1] = bad
+        assert np.isnan(kernels.min_distances(a, b2)).all()
+
+
+def _fps_oracle(points, m, start):
+    chosen = [start]
+    while len(chosen) < m:
+        best, pick = -1.0, 0
+        for i, p in enumerate(points):
+            d = min(_dist(p, points[j]) for j in chosen)
+            if d > best:  # strict: the lowest index wins a tie
+                best, pick = d, i
+        chosen.append(pick)
+    return np.array(chosen)
+
+
+def test_fps_matches_loop(rng):
+    pts = rng.normal(size=(60, 3))
+    for m, start in [(1, 0), (10, 3), (60, 59)]:
+        assert np.array_equal(kernels.fps(pts, m, start), _fps_oracle(pts, m, start))
+
+
+def test_fps_ties_go_to_the_lower_index():
+    # integer lattice: many exactly equal distances
+    grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0), np.arange(2.0), indexing="ij"), -1)
+    pts = grid.reshape(-1, 3)
+    for start in (0, 5, 31):
+        assert np.array_equal(kernels.fps(pts, 12, start), _fps_oracle(pts, 12, start))
+    assert list(kernels.fps(np.zeros((5, 3)), 3, 2)) == [2, 0, 0]
+
+
+def test_gelu_matches_reference():
+    xs = np.array([-6.0, -3.0, -1.0, -0.1, 0.0, 0.5, 1.0, 4.0, 9.0])
     expected = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs])
-    got = IMPLS[backend]["gelu_forward"](xs)
-    assert np.allclose(got, expected, atol=1e-12)
+    assert np.allclose(kernels.gelu_forward(xs), expected, atol=1e-12)
+    grad = np.array([
+        0.5 * (1 + math.erf(x / math.sqrt(2))) + x * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+        for x in xs
+    ])
+    assert np.allclose(kernels.gelu_grad(xs), grad, atol=1e-12)
+    x2 = np.linspace(-3, 3, 12).reshape(3, 4)
+    assert kernels.gelu_forward(x2).shape == kernels.gelu_grad(x2).shape == (3, 4)
+
+
+def _bilinear_corners(h, w, u, v):
+    uc = min(max(float(u), 0.0), w - 1.0)
+    vc = min(max(float(v), 0.0), h - 1.0)
+    u0, v0 = int(math.floor(uc)), int(math.floor(vc))
+    u1, v1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1)
+    return u0, v0, u1, v1, uc - u0, vc - v0
+
+
+def test_bilinear_forward_and_backward_match_per_point_loops(rng):
+    c, h, w, n = 6, 9, 7, 40
+    grid = rng.normal(size=(c, h, w))
+    u = rng.uniform(-2, w + 1, size=n)
+    v = rng.uniform(-2, h + 1, size=n)
+    u[:4] = [0.0, w - 1.0, 3.0, -0.5]  # on the border, on a node, clamped
+    dout = rng.normal(size=(n, c))
+
+    out = np.zeros((n, c))
+    dgrid = np.zeros_like(grid)
+    du = np.zeros(n)
+    dv = np.zeros(n)
+    for i in range(n):
+        u0, v0, u1, v1, fu, fv = _bilinear_corners(h, w, u[i], v[i])
+        for ch in range(c):
+            g = grid[ch]
+            out[i, ch] = ((1 - fv) * (1 - fu) * g[v0, u0] + (1 - fv) * fu * g[v0, u1]
+                          + fv * (1 - fu) * g[v1, u0] + fv * fu * g[v1, u1])
+            d = dout[i, ch]
+            dgrid[ch, v0, u0] += d * (1 - fv) * (1 - fu)
+            dgrid[ch, v0, u1] += d * (1 - fv) * fu
+            dgrid[ch, v1, u0] += d * fv * (1 - fu)
+            dgrid[ch, v1, u1] += d * fv * fu
+            if 0.0 <= u[i] <= w - 1.0:
+                du[i] += d * ((1 - fv) * (g[v0, u1] - g[v0, u0]) + fv * (g[v1, u1] - g[v1, u0]))
+            if 0.0 <= v[i] <= h - 1.0:
+                dv[i] += d * ((1 - fu) * (g[v1, u0] - g[v0, u0]) + fu * (g[v1, u1] - g[v0, u1]))
+
+    assert np.allclose(kernels.bilinear_forward(grid, u, v), out, rtol=0, atol=1e-12)
+    got = kernels.bilinear_backward(grid, u, v, dout)
+    for x, y in zip(got, (dgrid, du, dv)):
+        assert x.shape == y.shape
+        assert np.allclose(x, y, rtol=0, atol=1e-12)
+
+
+def test_im2col_and_col2im_match_per_patch_loops(rng):
+    c, hp, wp, k, s = 4, 12, 11, 3, 2
+    ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
+    x = rng.normal(size=(c, hp, wp))
+    cols = np.empty((ho * wo, c * k * k))
+    for oy in range(ho):
+        for ox in range(wo):
+            cols[oy * wo + ox] = x[:, oy * s : oy * s + k, ox * s : ox * s + k].ravel()
+    assert np.array_equal(kernels.im2col(x, k, k, s, s, ho, wo), cols)
+
+    g = rng.normal(size=cols.shape)
+    back = np.zeros_like(x)
+    for oy in range(ho):
+        for ox in range(wo):
+            back[:, oy * s : oy * s + k, ox * s : ox * s + k] += g[oy * wo + ox].reshape(c, k, k)
+    assert np.allclose(kernels.col2im(g, c, hp, wp, k, k, s, s, ho, wo), back, rtol=0, atol=1e-12)
+
+
+def _splat_oracle(px, py, z, h, w):
+    mask = np.zeros((h, w))
+    depth = np.full((h, w), -np.inf)
+    for i in range(len(px)):
+        cx, cy = round(float(px[i])), round(float(py[i]))  # half to even
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                x, y = cx + dx, cy + dy
+                if 0 <= x < w and 0 <= y < h:
+                    mask[y, x] = 1.0
+                    if z[i] > depth[y, x]:
+                        depth[y, x] = z[i]
+    return mask, depth
+
+
+def test_splat_matches_per_point_loop(rng):
+    for h, w, n in [(16, 16, 50), (9, 23, 300), (32, 32, 1)]:
+        px = rng.uniform(-4, w + 4, size=n)
+        py = rng.uniform(-4, h + 4, size=n)
+        px[: n // 3] = np.floor(px[: n // 3]) + 0.5  # exact .5 ties
+        py[: n // 5] = np.floor(py[: n // 5]) + 0.5
+        z = np.round(rng.normal(size=n), 1)  # repeated depths
+        z[-1] = np.nan  # marks its footprint but never wins the depth
+        mask, depth = kernels.splat(px, py, z, h, w)
+        m_ref, d_ref = _splat_oracle(px, py, z, h, w)
+        assert np.array_equal(mask, m_ref)
+        assert np.array_equal(depth, d_ref)
+
+
+def test_splat_far_off_points_leave_the_frame_empty():
+    px = np.array([-1e30, 1e30, 2.5, -2.6])
+    py = np.array([3.0, 3.0, -1e300, 4.0])
+    mask, depth = kernels.splat(px, py, np.ones(4), 8, 8)
+    assert not mask.any() and np.isneginf(depth).all()

@@ -54,6 +54,13 @@ class TestChamfer:
         with pytest.raises(ParameterError):
             metrics.chamfer(np.empty((0, 3)), rng.normal(size=(3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_point_gives_non_finite_value(self, rng, bad, side):
+        clouds = [rng.normal(size=(12, 3)), rng.normal(size=(9, 3))]
+        clouds[side][4, 1] = bad
+        assert not np.isfinite(metrics.chamfer(*clouds))
+
 
 class TestContactPR:
     def test_gt_prediction_perfect(self, mini_assets):

@@ -309,7 +309,7 @@ class TestForward:
 
         net = model.HoiReconstructor(default_assets, model.EncoderConfig(), seed=0)
         sample = scenegen.sample_scene(scenegen.mix_seed(50, 0), "box", default_assets)
-        net.forward(sample.channels, "box")  # warmup
+        net.forward(sample.channels, "box")  # untimed first call
         t0 = time.time()
         rec = net.forward(sample.channels, "box")
         total, _ = losses.scene_loss(rec, sample, default_assets, losses.LossWeights())

@@ -192,6 +192,15 @@ class TestContactMap:
         with pytest.raises(ParameterError):
             sg.contact_map_gt(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), threshold=0.0)
 
+    def test_non_finite_vertices_are_not_in_contact(self, rng):
+        human = rng.normal(size=(20, 3))
+        obj = human[:6] + 0.001
+        human[[0, 1, 2]] = [[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]]
+        got = sg.contact_map_gt(human, obj)
+        assert not got[:3].any() and got[3:6].all()
+        obj[2, 0] = np.nan
+        assert not sg.contact_map_gt(human, obj).any()
+
 
 class TestDataset:
     def test_roundtrip(self, tmp_path, mini_config, mini_assets):
