@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: gen, train, eval, ablate, viz-attn. Exit codes: 0 ok,
-2 configuration error, 3 data error, 4 numeric abort during training.
+2 configuration error, 3 data error, 4 numeric abort (a non-finite
+training loss or a degenerate forward pass).
 """
 
 from __future__ import annotations

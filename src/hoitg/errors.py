@@ -30,7 +30,7 @@ class DataError(RuntimeError):
 
 
 class NumericAbort(RuntimeError):
-    """Training produced a non-finite loss; carries the offending batch."""
+    """A non-finite loss or a degenerate forward pass; carries the offending batch."""
 
     def __init__(self, message, step=None, batch_indices=None):
         super().__init__(message)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,12 +73,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        known = {
-            "epochs", "steps_per_epoch", "batch_size", "lr", "lr_decay", "decay_at",
-            "seed", "data_dir", "checkpoint_path", "log_path", "encoder", "weights",
-            "templates", "knn_k",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "encoder" in d and not isinstance(d["encoder"], model.EncoderConfig):
@@ -239,7 +234,7 @@ def _sum_tensors(tensors):
 
 def _snapshot(net, samples, last_totals):
     subset = samples[: min(8, len(samples))]
-    per = [_sample_metrics(net, s) for s in subset]
+    per = [_sample_metrics(net, s, i) for i, s in enumerate(subset)]
     report = metrics.aggregate(per, init_stage=True)
     return {
         "mean_last_epoch_loss": float(np.mean(last_totals)),
@@ -309,8 +304,19 @@ def gt_reconstruction(sample, assets):
     )
 
 
-def _sample_metrics(net, sample):
-    rec = net.forward(sample.channels, sample.template_id)
+def _forward(net, sample, index, retain_attention=False):
+    """``net.forward`` on one sample; a degenerate prediction is a numeric abort."""
+    try:
+        return net.forward(sample.channels, sample.template_id, retain_attention)
+    except DegeneracyError as exc:
+        raise NumericAbort(
+            f"forward pass degenerated on sample {index}: {exc}", batch_indices=[index]
+        ) from exc
+
+
+def _sample_metrics(net, sample, index=None):
+    """Per-sample metrics; ``index`` names the sample in a ``NumericAbort``."""
+    rec = _forward(net, sample, index)
     tmpl = net.assets.objects[sample.template_id].mesh.vertices.astype(np.float64)
     pred_obj = rec.pose.apply(tmpl)
     pred_human = rec.human_full.data.astype(np.float64)
@@ -339,7 +345,7 @@ def evaluate(ckpt_path, data_dir, report_path=None, sample_indices=None) -> metr
     if manifest["config"] != ckpt_manifest["scene_config"]:
         raise ConfigError("checkpoint scene config does not match the dataset")
     indices = range(manifest["num"]) if sample_indices is None else sample_indices
-    per = [_sample_metrics(net, loader(i)) for i in indices]
+    per = [_sample_metrics(net, loader(i), i) for i in indices]
     report = metrics.aggregate(per, init_stage=True)
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
@@ -369,16 +375,18 @@ def export_attention(ckpt_path, data_dir, sample_index, layer, block, out_prefix
     ``<prefix>.csv`` plus an 8-bit PGM heatmap ``<prefix>.pgm`` laid out in
     coarse-vertex order.
     """
-    net, _ = load_checkpoint(ckpt_path)
-    manifest, _, loader = scenegen.load_dataset(data_dir)
+    net, ckpt_manifest = load_checkpoint(ckpt_path)
+    manifest = scenegen.load_manifest(data_dir)
+    if manifest["config"] != ckpt_manifest["scene_config"]:
+        raise ConfigError("checkpoint scene config does not match the dataset")
     if not 0 <= sample_index < manifest["num"]:
         raise ParameterError(f"sample index {sample_index} out of range 0..{manifest['num'] - 1}")
     if not 0 <= block < 3:
         raise ParameterError(f"block {block} out of range 0..2")
     if not 0 <= layer < net.cfg.layers_per_block:
         raise ParameterError(f"layer {layer} out of range 0..{net.cfg.layers_per_block - 1}")
-    sample = loader(sample_index)
-    rec = net.forward(sample.channels, sample.template_id, retain_attention=True)
+    sample = scenegen.load_sample(data_dir, sample_index, manifest, net.assets)
+    rec = _forward(net, sample, sample_index, retain_attention=True)
     attn = rec.attention[block][layer].mean(axis=0)  # (N, N), head-averaged
     j0 = net.num_joints
     h1 = j0 + net.v0

@@ -58,6 +58,9 @@ class LossWeights:
 
     @classmethod
     def from_dict(cls, d):
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown loss weight keys: {sorted(unknown)}")
         return cls(**d)
 
 

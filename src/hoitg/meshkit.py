@@ -63,18 +63,17 @@ class SparseAdjacency:
 
 @dataclass
 class SamplingOperators:
-    """Fixed mesh resampling matrices linking three vertex scales.
+    """Fixed mesh resampling linking three vertex scales.
 
-    ``down0`` (V0,V2) and ``down1`` (V1,V2) are one-hot selections of
-    farthest-point-sampled vertices; ``up01`` (V1,V0) and ``up12`` (V2,V1)
-    interpolate each finer vertex from its 3 nearest coarser vertices with
-    inverse-distance weights. Every row of every matrix sums to 1. Built once
-    from the template and never updated by training.
+    Down-sampling is row selection: ``coarse_indices`` (V0,) and
+    ``mid_indices`` (V1,) pick farthest-point-sampled full vertices, and the
+    coarse picks are the first V0 mid picks. ``up01`` (V1,V0) and ``up12``
+    (V2,V1) interpolate each finer vertex from its 3 nearest coarser vertices
+    with inverse-distance weights; every row sums to 1. Built once from the
+    template and never updated by training.
     """
 
     sizes: tuple
-    down0: np.ndarray
-    down1: np.ndarray
     up01: np.ndarray
     up12: np.ndarray
     coarse_indices: np.ndarray
@@ -92,37 +91,37 @@ class RigidPose:
         return points @ self.rotation.T + self.translation
 
 
-def knn_adjacency(points: np.ndarray, k: int, weight_mode: str = "distance") -> SparseAdjacency:
-    """K-nearest-neighbor graph with edge weights from point distances.
+def knn_adjacency(points: np.ndarray, k: int) -> SparseAdjacency:
+    """K-nearest-neighbor graph weighted by point distances.
 
     Row i holds the k nearest distinct points of point i, weighted by the
-    Euclidean distance itself (``weight_mode='distance'``) or its reciprocal
-    (``weight_mode='inverse'``). Ties go to the lower index.
+    Euclidean distance. Ties go to the lower index.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k < n:
         raise ParameterError(f"knn_adjacency: need 1 <= k < n, got k={k}, n={n}")
-    if weight_mode not in ("distance", "inverse"):
-        raise ParameterError(f"knn_adjacency: unknown weight_mode {weight_mode!r}")
     dist = kernels.pairwise_distances(points, points)
     np.fill_diagonal(dist, np.inf)
-    rows = []
-    cols = []
-    weights = []
-    for i in range(n):
-        nbrs = np.argsort(dist[i], kind="stable")[:k]
-        for j in nbrs:
-            d = dist[i, j]
-            rows.append(i)
-            cols.append(int(j))
-            weights.append(d if weight_mode == "distance" else 1.0 / max(d, 1e-12))
-    return SparseAdjacency(
-        n=n,
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        weights=np.asarray(weights, dtype=np.float64),
-    )
+    rows = np.repeat(np.arange(n, dtype=np.int64), k)
+    cols = _nearest(dist, k).ravel()
+    return SparseAdjacency(n=n, rows=rows, cols=cols, weights=dist[rows, cols])
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, nearest first.
+
+    One ``argmin`` pass per rank, masking each pick with inf: ``argmin``
+    returns the first minimum, so ties go to the lower index, the order of a
+    stable argsort.
+    """
+    dist = dist.copy()
+    rows = np.arange(dist.shape[0])
+    picks = np.empty((dist.shape[0], k), dtype=np.int64)
+    for rank in range(k):
+        picks[:, rank] = np.argmin(dist, axis=1)
+        dist[rows, picks[:, rank]] = np.inf
+    return picks
 
 
 def normalize_adjacency(raw: SparseAdjacency) -> SparseAdjacency:
@@ -166,18 +165,10 @@ def build_sampling_operators(full_template: Mesh, v0: int, v1: int, seed: int) -
     picks = farthest_point_sample(verts, v1, seed)
     mid_idx = picks
     coarse_idx = picks[:v0]
-
-    down0 = np.zeros((v0, v2), dtype=np.float32)
-    down0[np.arange(v0), coarse_idx] = 1.0
-    down1 = np.zeros((v1, v2), dtype=np.float32)
-    down1[np.arange(v1), mid_idx] = 1.0
-
     up01 = _interp_matrix(verts[mid_idx], verts[coarse_idx])
     up12 = _interp_matrix(verts, verts[mid_idx])
     return SamplingOperators(
         sizes=(v0, v1, v2),
-        down0=down0,
-        down1=down1,
         up01=up01,
         up12=up12,
         coarse_indices=coarse_idx.copy(),
@@ -192,18 +183,16 @@ def _interp_matrix(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     collapses the row to a one-hot selection.
     """
     nf = fine.shape[0]
-    nc = coarse.shape[0]
-    kn = min(3, nc)
     dist = kernels.pairwise_distances(fine, coarse)
-    out = np.zeros((nf, nc), dtype=np.float32)
-    for i in range(nf):
-        nbrs = np.argsort(dist[i], kind="stable")[:kn]
-        d = dist[i, nbrs]
-        if d[0] < 1e-12:
-            out[i, nbrs[0]] = 1.0
-            continue
-        w = 1.0 / d
-        out[i, nbrs] = (w / w.sum()).astype(np.float32)
+    nbrs = _nearest(dist, min(3, coarse.shape[0]))
+    d = np.take_along_axis(dist, nbrs, axis=1)
+    hit = d[:, 0] < 1e-12
+    d[hit] = 1.0  # these rows become one-hot below; keeps 1/d finite
+    w = 1.0 / d
+    out = np.zeros((nf, coarse.shape[0]), dtype=np.float32)
+    out[np.arange(nf)[:, None], nbrs] = (w / w.sum(axis=1, keepdims=True)).astype(np.float32)
+    out[hit] = 0.0
+    out[hit, nbrs[hit, 0]] = 1.0
     return out
 
 

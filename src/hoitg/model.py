@@ -17,7 +17,7 @@ post-hoc readout; the object vertices themselves carry the supervision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,6 +98,9 @@ class EncoderConfig:
             if key in d:
                 d[key] = tuple(d[key])
         d.pop("variant", None)
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown encoder config keys: {sorted(unknown)}")
         return cls(**d)
 
     @classmethod
@@ -159,18 +162,14 @@ def rodrigues_t(aa: dc.Tensor) -> dc.Tensor:
     return dc.add(dc.add(eye, dc.scale_t(k, a)), dc.scale_t(k2, b))
 
 
-def graph_residual_block(x: dc.Tensor, adjacency, w_g: dc.Tensor) -> dc.Tensor:
-    """Residual graph mixing: y = x + gelu(A x W)."""
+def graph_residual_block(x: dc.Tensor, adjacency: np.ndarray, w_g: dc.Tensor) -> dc.Tensor:
+    """Residual graph mixing: y = x + gelu(A x W) for a dense (n, n) adjacency A."""
     n, d = x.data.shape
-    adj = adjacency
-    if isinstance(adj, meshkit.SparseAdjacency):
-        adj = adj.to_dense(dtype=x.data.dtype)
-    if not isinstance(adj, dc.Tensor):
-        adj = dc.tensor(np.asarray(adj, dtype=x.data.dtype))
-    if adj.data.shape != (n, n):
-        raise DimensionError(f"graph_residual_block: adjacency {adj.data.shape} vs {n} tokens")
+    if adjacency.shape != (n, n):
+        raise DimensionError(f"graph_residual_block: adjacency {adjacency.shape} vs {n} tokens")
     if w_g.data.shape != (d, d):
         raise DimensionError(f"graph_residual_block: weight {w_g.data.shape} vs width {d}")
+    adj = dc.tensor(np.asarray(adjacency, dtype=x.data.dtype))
     return dc.add(x, dc.gelu(dc.matmul(dc.matmul(adj, x), w_g)))
 
 
@@ -314,8 +313,7 @@ class HoiReconstructor:
         translation = self._dense("init.trans", pooled)
 
         mesh_full, joints = scenegen.body_forward(body, theta, beta)
-        down0 = dc.tensor(self.assets.operators.down0)
-        mesh_coarse = dc.matmul(down0, mesh_full)
+        mesh_coarse = dc.gather_rows(mesh_full, self.assets.operators.coarse_indices)
         return grid, InitEstimates(
             theta=theta,
             beta=beta,
@@ -365,7 +363,7 @@ class HoiReconstructor:
             )
         j0, h1, n = self.num_joints, self.num_joints + self.v0, self.num_tokens
         hum_adj = self.assets.human_adjacency
-        obj_adj = self.assets.objects[template_id].adjacency.to_dense()
+        obj_adj = self.assets.objects[template_id].adjacency
         x = self._dense(f"block{block_index}.entry", tokens)
         attn_maps = []
         for l in range(cfg.layers_per_block):

@@ -259,7 +259,7 @@ class ObjectTemplate:
 
     template_id: str
     mesh: meshkit.Mesh
-    adjacency: meshkit.SparseAdjacency
+    adjacency: np.ndarray  # (64, 64) row-normalized, dense
 
     def __post_init__(self):
         if len(self.mesh.vertices) != OBJECT_VERTEX_COUNT:
@@ -318,7 +318,7 @@ def build_object_template(template_id: str, knn_k: int = OBJECT_KNN_K) -> Object
         )
     pts = _OBJECT_BUILDERS[template_id]().astype(np.float32)
     mesh = meshkit.Mesh(vertices=pts, faces=np.empty((0, 3), dtype=np.int64))
-    adj = meshkit.normalize_adjacency(meshkit.knn_adjacency(pts, knn_k))
+    adj = meshkit.normalize_adjacency(meshkit.knn_adjacency(pts, knn_k)).to_dense()
     return ObjectTemplate(template_id=template_id, mesh=mesh, adjacency=adj)
 
 
@@ -553,8 +553,8 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
         theta=theta,
         beta=beta,
         gt_mesh_full=mesh_full.astype(np.float32),
-        gt_mesh_mid=(ops.down1 @ mesh_full).astype(np.float32),
-        gt_mesh_coarse=(ops.down0 @ mesh_full).astype(np.float32),
+        gt_mesh_mid=mesh_full[ops.mid_indices].astype(np.float32),
+        gt_mesh_coarse=mesh_full[ops.coarse_indices].astype(np.float32),
         gt_joints=joints.astype(np.float32),
         gt_joints_2d=project(joints, cam).astype(np.float32),
         gt_rotation=rot.astype(np.float32),
@@ -677,8 +677,8 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
         theta=theta,
         beta=beta,
         gt_mesh_full=mesh_full,
-        gt_mesh_mid=(ops.down1 @ mesh_full).astype(np.float32),
-        gt_mesh_coarse=(ops.down0 @ mesh_full).astype(np.float32),
+        gt_mesh_mid=mesh_full[ops.mid_indices].astype(np.float32),
+        gt_mesh_coarse=mesh_full[ops.coarse_indices].astype(np.float32),
         gt_joints=joints,
         gt_joints_2d=project(joints, cam).astype(np.float32),
         gt_rotation=rot,

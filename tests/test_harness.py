@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestTrainConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             harness.TrainConfig.from_dict({"epochs": 1, "warp_speed": 9})
+
+    @pytest.mark.parametrize("section", ["encoder", "weights"])
+    def test_unknown_nested_key_rejected(self, section):
+        with pytest.raises(ConfigError, match="bogus"):
+            harness.TrainConfig.from_dict({section: {"bogus": 1}})
+
+    def test_encoder_variant_key_is_derived_not_read(self):
+        enc = model.EncoderConfig(human_graph=(True, True, True), object_graph=(True, True, True))
+        cfg = harness.TrainConfig.from_dict({"encoder": {**enc.to_dict(), "variant": "none"}})
+        assert cfg.encoder.variant == "h+o-all"
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -296,6 +307,44 @@ class TestCli:
         rc = cli.main(["train", "--data", str(tmp_path / "missing"),
                        "--out", str(tmp_path / "x.ckpt")])
         assert rc == 3
+
+    @pytest.mark.parametrize("section", ["encoder", "weights"])
+    def test_exit_code_unknown_nested_key(self, mini_dataset, tmp_path, section):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {"bogus": 1}}))
+        rc = cli.main(["train", "--data", mini_dataset, "--config", str(bad),
+                       "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+
+    def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path):
+        cfg = tiny_train_config(mini_dataset, tmp_path / "v.ckpt")
+        harness.train(cfg, quiet=True)
+        other = str(tmp_path / "res16")
+        scenegen.generate_dataset(other, 1, 5, scenegen.SceneConfig(res=16, v0=16, v1=32, body_parts="mini"))
+        rc = cli.main(["viz-attn", "--ckpt", cfg.checkpoint_path, "--data", other, "--sample", "0",
+                       "--layer", "0", "--block", "0", "--out", str(tmp_path / "att")])
+        assert rc == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_code_diverged_checkpoint(self, mini_dataset, tmp_path):
+        cfg = tiny_train_config(mini_dataset, tmp_path / "d.ckpt")
+        harness.train(cfg, quiet=True)
+        with open(cfg.checkpoint_path, "r+b") as fh:
+            (mlen,) = struct.unpack("<I", fh.read(4))
+            fh.seek(4 + mlen)
+            payload = np.frombuffer(fh.read(), dtype="<f4").copy()
+            payload[::3] = 1e30
+            fh.seek(4 + mlen)
+            fh.write(payload.tobytes())
+        with pytest.raises(NumericAbort, match="sample 0") as info:
+            harness.evaluate(cfg.checkpoint_path, mini_dataset)
+        assert info.value.batch_indices == [0]
+        rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", cfg.checkpoint_path,
+                       "--report", str(tmp_path / "rep.json")])
+        assert rc == 4
+        rc = cli.main(["viz-attn", "--ckpt", cfg.checkpoint_path, "--data", mini_dataset,
+                       "--sample", "2", "--layer", "0", "--block", "0", "--out", str(tmp_path / "att")])
+        assert rc == 4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exit_code_numeric_abort(self, mini_dataset, tmp_path):

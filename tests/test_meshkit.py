@@ -65,10 +65,16 @@ class TestKnnAdjacency:
         with pytest.raises(ParameterError):
             meshkit.knn_adjacency(pts, 5)
 
-    def test_inverse_weight_mode(self):
-        pts = np.array([[0, 0, 0], [2, 0, 0], [5, 0, 0]], dtype=float)
-        adj = meshkit.knn_adjacency(pts, 1, weight_mode="inverse")
-        assert np.allclose(adj.weights, [0.5, 0.5, 1.0 / 3.0])
+    @pytest.mark.parametrize("k", [1, 6, 10, 20])
+    def test_lattice_ties_match_oracle_order(self, k):
+        # integer coordinates make the 4x4x4 box lattice's many equal distances
+        # exact ties; rows list neighbours nearest first, ties by lower index
+        pts = np.indices((4, 4, 4)).reshape(3, -1).T.astype(np.float64)
+        adj = meshkit.knn_adjacency(pts, k)
+        oracle = brute_force_knn(pts, k)
+        assert adj.rows.tolist() == [i for i in range(len(pts)) for _ in range(k)]
+        assert adj.cols.tolist() == [j for i in range(len(pts)) for _, j in oracle[i]]
+        assert adj.weights.tolist() == [d for i in range(len(pts)) for d, _ in oracle[i]]
 
 
 class TestNormalizeAdjacency:
@@ -137,19 +143,50 @@ def ops_and_mesh():
     return ops, mesh
 
 
+def loop_interp_matrix(fine, coarse):
+    """Per-row oracle of the 3-NN inverse-distance rows, ties to the lower index."""
+    out = np.zeros((len(fine), len(coarse)), dtype=np.float32)
+    for i, p in enumerate(fine):
+        d = np.sqrt(((p - coarse) ** 2).sum(axis=1))
+        nbrs = sorted(range(len(coarse)), key=lambda j: (d[j], j))[:3]
+        if d[nbrs[0]] < 1e-12:
+            out[i, nbrs[0]] = 1.0
+            continue
+        w = 1.0 / d[nbrs]
+        out[i, nbrs] = (w / w.sum()).astype(np.float32)
+    return out
+
+
 class TestSamplingOperators:
 
     def test_down_selects_exactly(self, ops_and_mesh):
         ops, mesh = ops_and_mesh
-        coarse = ops.down0 @ mesh.vertices
-        assert np.array_equal(coarse, mesh.vertices[ops.coarse_indices])
-        mid = ops.down1 @ mesh.vertices
-        assert np.array_equal(mid, mesh.vertices[ops.mid_indices])
+        v0, v1, v2 = ops.sizes
+        assert ops.coarse_indices.shape == (v0,) and ops.mid_indices.shape == (v1,)
+        assert len(set(ops.mid_indices.tolist())) == v1
+        assert 0 <= ops.mid_indices.min() and ops.mid_indices.max() < v2
+        # coarse vertices nest inside the mid set as its first v0 picks
+        assert np.array_equal(ops.mid_indices[:v0], ops.coarse_indices)
 
     def test_rows_are_stochastic(self, ops_and_mesh):
         ops, _ = ops_and_mesh
-        for mat in (ops.down0, ops.down1, ops.up01, ops.up12):
+        for mat in (ops.up01, ops.up12):
             assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("parts, v0, v1, seed", [
+        (scenegen.MINI_BODY_PARTS, 16, 32, 5),
+        (scenegen.DEFAULT_BODY_PARTS, 96, 384, 11),
+    ])
+    def test_upsampling_matches_loop_oracle(self, parts, v0, v1, seed):
+        mesh = scenegen.build_body_template(parts)
+        ops = meshkit.build_sampling_operators(mesh, v0=v0, v1=v1, seed=seed)
+        verts = mesh.vertices.astype(np.float64)
+        mid, coarse = verts[ops.mid_indices], verts[ops.coarse_indices]
+        assert np.array_equal(ops.up01, loop_interp_matrix(mid, coarse))
+        assert np.array_equal(ops.up12, loop_interp_matrix(verts, mid))
+        # every vertex that is itself a coarser vertex gets a one-hot row
+        assert ((ops.up01 == 1.0).sum(axis=1) == 1).sum() == v0
+        assert ((ops.up12 == 1.0).sum(axis=1) == 1).sum() == v1
 
     def test_coarse_vertex_upsamples_as_identity_row(self, ops_and_mesh):
         ops, _ = ops_and_mesh
@@ -163,7 +200,7 @@ class TestSamplingOperators:
         # below the coarse spacing; guard against gross errors instead.
         ops, mesh = ops_and_mesh
         tmpl = mesh.vertices.astype(np.float64)
-        recon = ops.up12 @ (ops.up01 @ (ops.down0 @ tmpl))
+        recon = ops.up12 @ (ops.up01 @ tmpl[ops.coarse_indices])
         err = np.linalg.norm(recon - tmpl, axis=1).mean()
         edges = meshkit.edge_list(mesh.faces)
         mean_edge = np.linalg.norm(tmpl[edges[:, 0]] - tmpl[edges[:, 1]], axis=1).mean()

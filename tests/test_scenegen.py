@@ -251,8 +251,8 @@ def test_object_templates_have_exactly_64_vertices():
     for tid in sg.list_object_templates():
         t = sg.build_object_template(tid)
         assert len(t.mesh.vertices) == 64
-        dense = t.adjacency.to_dense(np.float64)
-        assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-6)
+        assert t.adjacency.shape == (64, 64) and t.adjacency.dtype == np.float32
+        assert np.allclose(t.adjacency.sum(axis=1, dtype=np.float64), 1.0, atol=1e-6)
 
 
 def test_box_template_symmetric_under_half_turn():
