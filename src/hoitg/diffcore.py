@@ -10,10 +10,10 @@ Training arithmetic is float32. The finite-difference oracle
 (:func:`gradcheck`) re-runs the same graph in float64; every op keeps the
 dtype of its inputs, so both modes share one code path.
 
-Broadcasting is deliberately absent except for ``add_bias`` (a bias row added
-over the leading dimension) and ``scale_t`` (multiplication by a one-element
-tensor). Everything else demands exact shape agreement and raises
-``DimensionError`` otherwise.
+Broadcasting is deliberately absent except for the bias row of ``linear``
+and ``add_bias`` (added over the leading dimension) and ``scale_t``
+(multiplication by a one-element tensor). Everything else demands exact
+shape agreement and raises ``DimensionError`` otherwise.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, uid={self.uid})"
@@ -119,13 +116,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, -g * a.data / (b.data * b.data))
 
     return Tensor(a.data / b.data, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accum(a, -g)
-
-    return Tensor(-a.data, (a,), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -341,6 +331,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, a.data.T @ g)
 
     return Tensor(a.data @ b.data, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w`` plus a bias row, as one graph node.
+
+    ``b`` is ``(o,)`` or ``(1, o)``, as for ``add_bias``. The output and all
+    three gradients are bit-equal to ``add_bias(matmul(x, w), b)``.
+    """
+    brow = b.data.reshape(-1)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or brow.shape[0] != w.data.shape[1]):
+        raise DimensionError(
+            f"linear: x {x.data.shape}, w {w.data.shape} and bias {b.data.shape} do not chain"
+        )
+
+    def bwd(g):
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0).reshape(b.data.shape))
+
+    out = x.data @ w.data
+    out += brow
+    return Tensor(out, (x, w, b), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import losses, meshkit, metrics, model, scenegen
-from .errors import ConfigError, DataError, DegeneracyError, NumericAbort, ParameterError
+from .errors import ConfigError, DataError, DegeneracyError, NumericAbort, ParameterError, check_field_types
 
 
 @dataclass
@@ -40,7 +40,7 @@ class TrainConfig:
     log_path: str = ""
     encoder: model.EncoderConfig = field(default_factory=model.EncoderConfig)
     weights: losses.LossWeights = field(default_factory=losses.LossWeights)
-    templates: tuple | None = None
+    templates: tuple[str, ...] | None = None
     knn_k: int | None = None
 
     def __post_init__(self):
@@ -76,6 +76,7 @@ class TrainConfig:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_field_types(cls, d, "config")
         if "encoder" in d and not isinstance(d["encoder"], model.EncoderConfig):
             d["encoder"] = model.EncoderConfig.from_dict(d["encoder"])
         if "weights" in d and not isinstance(d["weights"], losses.LossWeights):
@@ -106,12 +107,12 @@ class TrainResult:
 
 
 def _load_all(data_dir, knn_override=None):
-    manifest, assets, loader = scenegen.load_dataset(data_dir)
+    manifest = scenegen.load_manifest(data_dir)
+    scene_cfg = scenegen.SceneConfig.from_dict(manifest["config"])
     if knn_override is not None:
-        cfg = scenegen.SceneConfig.from_dict(manifest["config"])
-        cfg.knn_k = int(knn_override)
-        assets = scenegen.build_assets(cfg)
-    samples = [loader(i) for i in range(manifest["num"])]
+        scene_cfg.knn_k = int(knn_override)
+    assets = scenegen.build_assets(scene_cfg)
+    samples = [scenegen.load_sample(data_dir, i, manifest, assets) for i in range(manifest["num"])]
     return manifest, assets, samples
 
 

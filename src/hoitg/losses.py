@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import scenegen
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_field_types
 
 TERM_NAMES = (
     "ms_vertex",
@@ -61,6 +61,7 @@ class LossWeights:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown loss weight keys: {sorted(unknown)}")
+        check_field_types(cls, d, "loss weight")
         return cls(**d)
 
 

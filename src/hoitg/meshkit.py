@@ -13,13 +13,11 @@ reproducible.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import diffcore, kernels
 from .errors import DegeneracyError, DimensionError, ParameterError
 
 
@@ -196,22 +194,11 @@ def _interp_matrix(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_sampling(op_matrix, vertices):
-    """Apply a resampling matrix to vertices; works on arrays or tensors."""
-    from . import diffcore
-
-    if isinstance(vertices, diffcore.Tensor):
-        mat = op_matrix
-        if not isinstance(mat, diffcore.Tensor):
-            mat = diffcore.tensor(np.asarray(op_matrix, dtype=vertices.data.dtype))
-        return diffcore.matmul(mat, vertices)
-    op_matrix = np.asarray(op_matrix)
-    vertices = np.asarray(vertices)
-    if op_matrix.shape[1] != vertices.shape[0]:
-        raise DimensionError(
-            f"apply_sampling: operator {op_matrix.shape} vs vertices {vertices.shape}"
-        )
-    return op_matrix @ vertices
+def apply_sampling(op_matrix: np.ndarray, vertices: diffcore.Tensor) -> diffcore.Tensor:
+    """Apply a fixed (m, n) resampling matrix to (n, 3) vertex tensors."""
+    return diffcore.matmul(
+        diffcore.tensor(np.asarray(op_matrix, dtype=vertices.data.dtype)), vertices
+    )
 
 
 def rigid_fit(template: np.ndarray, predicted: np.ndarray) -> RigidPose:
@@ -280,38 +267,3 @@ def coarsen_edge_graph(faces: np.ndarray, full_vertices: np.ndarray, coarse_indi
     dense[a[keep], b[keep]] = 1.0
     dense[b[keep], a[keep]] = 1.0
     return SparseAdjacency.from_dense(dense)
-
-
-# ---------------------------------------------------------------------------
-# template file format
-# ---------------------------------------------------------------------------
-# Same framing as parameter files: 4-byte little-endian uint32 manifest
-# length, UTF-8 JSON manifest {"vertex_count", "face_count", "scales"}, then
-# float32 vertices and uint32 faces, all little-endian.
-
-def save_template(path, mesh: Mesh, scales=None):
-    vb = np.ascontiguousarray(mesh.vertices, dtype="<f4").tobytes()
-    fb = np.ascontiguousarray(mesh.faces, dtype="<u4").tobytes()
-    manifest = {
-        "vertex_count": int(len(mesh.vertices)),
-        "face_count": int(len(mesh.faces)),
-        "scales": list(scales) if scales is not None else None,
-    }
-    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(mbytes)))
-        fh.write(mbytes)
-        fh.write(vb)
-        fh.write(fb)
-
-
-def load_template(path):
-    """Read a template file; returns (Mesh, scales or None)."""
-    with open(path, "rb") as fh:
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        nv = manifest["vertex_count"]
-        nf = manifest["face_count"]
-        verts = np.frombuffer(fh.read(12 * nv), dtype="<f4").reshape(nv, 3).copy()
-        faces = np.frombuffer(fh.read(12 * nf), dtype="<u4").reshape(nf, 3).astype(np.int64)
-    return Mesh(vertices=verts, faces=faces), manifest.get("scales")

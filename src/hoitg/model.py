@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import meshkit, scenegen
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError, check_field_types
 
 ABLATION_VARIANTS = {
     "none": ((False, False, False), (False, False, False)),
@@ -60,11 +60,11 @@ def flags_variant(human_graph, object_graph) -> str:
 class EncoderConfig:
     """Widths and structure of the three-block encoder."""
 
-    dims: tuple = (128, 64, 32)
+    dims: tuple[int, ...] = (128, 64, 32)
     layers_per_block: int = 4
     heads: int = 4
-    human_graph: tuple = (True, True, True)
-    object_graph: tuple = (False, True, False)
+    human_graph: tuple[bool, ...] = (True, True, True)
+    object_graph: tuple[bool, ...] = (False, True, False)
     feat_channels: int = 128
     mlp_expansion: int = 2
     non_graph_mlp: bool = True
@@ -94,13 +94,11 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        for key in ("dims", "human_graph", "object_graph"):
-            if key in d:
-                d[key] = tuple(d[key])
         d.pop("variant", None)
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown encoder config keys: {sorted(unknown)}")
+        check_field_types(cls, d, "encoder config")
         return cls(**d)
 
     @classmethod
@@ -280,7 +278,7 @@ class HoiReconstructor:
     # -- forward ------------------------------------------------------------
 
     def _dense(self, name, x):
-        return dc.add_bias(dc.matmul(x, self.params[f"{name}.w"]), self.params[f"{name}.b"])
+        return dc.linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def init_head(self, channels):
         """Backbone + four linear heads; returns (feature grid, InitEstimates)."""
@@ -331,9 +329,7 @@ class HoiReconstructor:
         """Project init meshes, grid-sample features, append coordinates."""
         tmpl = self.assets.objects[template_id].mesh.vertices
         rot = rodrigues_t(init.axis_angle)
-        init.object_vertices = dc.add_bias(
-            dc.matmul(dc.tensor(tmpl), dc.transpose(rot)), init.translation
-        )
+        init.object_vertices = dc.linear(dc.tensor(tmpl), dc.transpose(rot), init.translation)
         coords = dc.concat_rows([init.joints, init.mesh_coarse, init.object_vertices])
         pts = scenegen.project_t(coords, init.cam_scale, init.cam_trans)
         feats = dc.grid_sample(grid, pts)
@@ -403,8 +399,8 @@ class HoiReconstructor:
         human_coarse = self._dense("head.hum", dc.rows(x, j0, h1))
         obj = self._dense("head.obj", dc.rows(x, h1, n))
         ops = self.assets.operators
-        human_mid = dc.matmul(dc.tensor(ops.up01), human_coarse)
-        human_full = dc.matmul(dc.tensor(ops.up12), human_mid)
+        human_mid = meshkit.apply_sampling(ops.up01, human_coarse)
+        human_full = meshkit.apply_sampling(ops.up12, human_mid)
         tmpl = self.assets.objects[template_id].mesh.vertices
         pose = meshkit.rigid_fit(tmpl.astype(np.float64), obj.data.astype(np.float64))
         return Reconstruction(

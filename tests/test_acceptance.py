@@ -59,6 +59,14 @@ def test_criterion_1_gradient_suite(mini_assets):
 
     check("matmul", _matmul_case)
 
+    def _linear_case(rng):
+        m, k, n = rng.integers(2, 5, size=3)
+        proj = rng.normal(size=(m, n))
+        return (lambda ts: dc.sum_all(dc.mul(dc.linear(ts[0], ts[1], ts[2]), dc.tensor(proj))),
+                [rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(1, n))])
+
+    check("linear", _linear_case)
+
     check("gelu", lambda rng: (
         lambda ts: dc.sum_all(dc.gelu(ts[0])),
         [rng.normal(size=rng.integers(2, 8)) * 2.0],
@@ -214,7 +222,7 @@ def test_criterion_1_gradient_suite(mini_assets):
 
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 120.0
-    _report(1, ok, f"gradient suite over 14 op families, 50 cases each, {elapsed:.1f}s")
+    _report(1, ok, f"gradient suite over 15 op families, 50 cases each, {elapsed:.1f}s")
     assert not failures, failures[:3]
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"
 

@@ -35,6 +35,35 @@ class TestMatmul:
         assert rep.ok, rep.worst
 
 
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias_shape", [(6,), (1, 6)])
+    def test_matches_matmul_then_add_bias_bitwise(self, rng, dtype, bias_shape):
+        x, w, proj = (rng.normal(size=s).astype(dtype) for s in ((7, 5), (5, 6), (7, 6)))
+        b = rng.normal(size=bias_shape).astype(dtype)
+
+        def run(op):
+            leaves = [dc.tensor(a.copy()) for a in (x, w, b)]
+            out = op(*leaves)
+            dc.backward(dc.sum_all(dc.mul(out, dc.tensor(proj))))
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        fused = run(dc.linear)
+        pair = run(lambda xt, wt, bt: dc.add_bias(dc.matmul(xt, wt), bt))
+        for got, want in zip(fused, pair):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("xs, ws, bs", [
+        ((3, 4), (5, 2), (2,)),   # inner dimensions disagree
+        ((3, 4), (4, 2), (3,)),   # bias width is not the output width
+        ((4,), (4, 2), (2,)),     # x is not 2-d
+    ])
+    def test_shape_mismatch(self, xs, ws, bs):
+        with pytest.raises(DimensionError):
+            dc.linear(*(dc.tensor(np.zeros(s)) for s in (xs, ws, bs)))
+
+
 class TestGelu:
     def test_zero(self):
         assert scalar(dc.gelu(dc.tensor(np.array([0.0])))) == 0.0
@@ -126,7 +155,7 @@ class TestBackward:
         dc.backward(dc.sum_all(p))
         dc.backward(dc.sum_all(p))
         assert np.allclose(p.grad, [2.0])
-        p.zero_grad()
+        dc.zero_grads([p])
         dc.backward(dc.sum_all(p))
         assert np.allclose(p.grad, [1.0])
 

@@ -268,6 +268,20 @@ class TestAblation:
         assert np.array_equal(train_idx, again[0])
 
 
+def test_knn_override_builds_assets_once(mini_dataset, tmp_path, monkeypatch):
+    calls = []
+    build = scenegen.build_assets
+
+    def counting_build(config):
+        calls.append(config.knn_k)
+        return build(config)
+
+    monkeypatch.setattr(scenegen, "build_assets", counting_build)
+    cfg = tiny_train_config(mini_dataset, tmp_path / "k.ckpt", epochs=1, steps_per_epoch=1, knn_k=3)
+    harness.train(cfg, quiet=True)
+    assert calls == [3]
+
+
 class TestCli:
     def test_gen_train_eval_viz_pipeline(self, tmp_path):
         data = str(tmp_path / "ds")
@@ -315,6 +329,21 @@ class TestCli:
         rc = cli.main(["train", "--data", mini_dataset, "--config", str(bad),
                        "--out", str(tmp_path / "x.ckpt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad_cfg, field", [
+        ({"encoder": 5}, "encoder"),
+        ({"epochs": "x"}, "epochs"),
+        ({"weights": {"edge": "a"}}, "edge"),
+        ({"encoder": {"dims": 5}}, "dims"),
+        ({"lr": None}, "lr"),
+    ], ids=["encoder-int", "epochs-str", "weight-str", "dims-int", "lr-null"])
+    def test_exit_code_wrong_typed_value(self, mini_dataset, tmp_path, capsys, bad_cfg, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bad_cfg))
+        rc = cli.main(["train", "--data", mini_dataset, "--config", str(bad),
+                       "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        assert repr(field) in capsys.readouterr().err
 
     def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path):
         cfg = tiny_train_config(mini_dataset, tmp_path / "v.ckpt")
