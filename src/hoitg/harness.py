@@ -15,13 +15,15 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffcore as dc
 from . import losses, meshkit, metrics, model, scenegen
-from .errors import ConfigError, DataError, DegeneracyError, NumericAbort, ParameterError, check_field_types
+from .errors import (
+    ConfigError, DataError, DegeneracyError, NumericAbort, ParameterError, config_from_dict, config_to_dict,
+)
 
 
 @dataclass
@@ -50,46 +52,14 @@ class TrainConfig:
             raise ConfigError(f"decay_at must be in (0,1), got {self.decay_at}")
         if self.lr <= 0 or self.lr_decay <= 0:
             raise ConfigError("lr and lr_decay must be positive")
-
-    def to_dict(self):
-        d = {
-            "epochs": self.epochs,
-            "steps_per_epoch": self.steps_per_epoch,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "lr_decay": self.lr_decay,
-            "decay_at": self.decay_at,
-            "seed": self.seed,
-            "data_dir": self.data_dir,
-            "checkpoint_path": self.checkpoint_path,
-            "log_path": self.log_path,
-            "encoder": self.encoder.to_dict(),
-            "weights": self.weights.to_dict(),
-            "templates": list(self.templates) if self.templates else None,
-            "knn_k": self.knn_k,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        check_field_types(cls, d, "config")
-        if "encoder" in d and not isinstance(d["encoder"], model.EncoderConfig):
-            d["encoder"] = model.EncoderConfig.from_dict(d["encoder"])
-        if "weights" in d and not isinstance(d["weights"], losses.LossWeights):
-            d["weights"] = losses.LossWeights.from_dict(d["weights"])
-        if d.get("templates"):
-            d["templates"] = tuple(d["templates"])
-        return cls(**d)
+        if self.seed < 0:
+            raise ConfigError(f"config field 'seed' must be non-negative, got {self.seed}")
 
     @classmethod
     def from_json_file(cls, path):
         try:
             with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
+                return config_from_dict(cls, json.load(fh), "config")
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
@@ -104,16 +74,6 @@ class TrainResult:
     first_loss: float
     final_loss: float
     snapshot: dict
-
-
-def _load_all(data_dir, knn_override=None):
-    manifest = scenegen.load_manifest(data_dir)
-    scene_cfg = scenegen.SceneConfig.from_dict(manifest["config"])
-    if knn_override is not None:
-        scene_cfg.knn_k = int(knn_override)
-    assets = scenegen.build_assets(scene_cfg)
-    samples = [scenegen.load_sample(data_dir, i, manifest, assets) for i in range(manifest["num"])]
-    return manifest, assets, samples
 
 
 def _check_templates(cfg: TrainConfig, manifest):
@@ -131,8 +91,9 @@ def train(cfg: TrainConfig, sample_indices=None, quiet=False) -> TrainResult:
         raise ConfigError("train: data_dir not set")
     if not cfg.checkpoint_path:
         raise ConfigError("train: checkpoint_path not set")
-    manifest, assets, samples = _load_all(cfg.data_dir, cfg.knn_k)
+    manifest, assets, loader = scenegen.load_dataset(cfg.data_dir, cfg.knn_k)
     _check_templates(cfg, manifest)
+    samples = [loader(i) for i in range(manifest["num"])]
     if sample_indices is not None:
         samples = [samples[i] for i in sample_indices]
     if len(samples) == 0:
@@ -186,10 +147,7 @@ def train(cfg: TrainConfig, sample_indices=None, quiet=False) -> TrainResult:
                     step=step,
                     batch_indices=batch,
                 ) from exc
-            batch_total = dc.scale(
-                batch_tensors[0] if len(batch_tensors) == 1 else _sum_tensors(batch_tensors),
-                1.0 / len(batch_tensors),
-            )
+            batch_total = dc.scale(_sum_tensors(batch_tensors), 1.0 / len(batch_tensors))
             total_val = float(batch_total.data.reshape(()))
             if not np.isfinite(total_val):
                 raise NumericAbort(
@@ -248,9 +206,9 @@ def _snapshot(net, samples, last_totals):
 def _write_checkpoint(cfg: TrainConfig, net, manifest, step, snapshot):
     extra = {
         "kind": "hoitg-checkpoint",
-        "train_config": cfg.to_dict(),
+        "train_config": config_to_dict(cfg),
         "scene_config": manifest["config"],
-        "encoder": cfg.encoder.to_dict(),
+        "encoder": config_to_dict(cfg.encoder),
         "step": step,
         "snapshot": snapshot,
     }
@@ -264,13 +222,12 @@ def load_checkpoint(path):
     arrays, manifest = dc.load_params(path)
     if manifest.get("kind") != "hoitg-checkpoint":
         raise ConfigError(f"{path} is not a checkpoint file")
-    scene_cfg = scenegen.SceneConfig.from_dict(manifest["scene_config"])
-    knn_k = manifest["train_config"].get("knn_k")
-    if knn_k:
-        scene_cfg.knn_k = int(knn_k)
+    cfg = config_from_dict(TrainConfig, manifest["train_config"], "checkpoint config")
+    scene_cfg = config_from_dict(scenegen.SceneConfig, manifest["scene_config"], "checkpoint scene config")
+    if cfg.knn_k:
+        scene_cfg.knn_k = cfg.knn_k
     assets = scenegen.build_assets(scene_cfg)
-    enc = model.EncoderConfig.from_dict(manifest["encoder"])
-    net = model.HoiReconstructor(assets, enc, seed=manifest["train_config"]["seed"])
+    net = model.HoiReconstructor(assets, cfg.encoder, seed=cfg.seed)
     net.load_state(arrays)
     return net, manifest
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import scenegen
-from .errors import ConfigError, DimensionError, check_field_types
+from .errors import ConfigError, DimensionError, config_to_dict
 
 TERM_NAMES = (
     "ms_vertex",
@@ -52,17 +52,6 @@ class LossWeights:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ConfigError(f"loss weight {f.name} must be non-negative")
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown loss weight keys: {sorted(unknown)}")
-        check_field_types(cls, d, "loss weight")
-        return cls(**d)
 
 
 @dataclass
@@ -140,7 +129,7 @@ def object_vertex_loss(pred: dc.Tensor, gt) -> dc.Tensor:
 
 def total_loss(terms: dict, weights: LossWeights):
     """Weighted sum of all terms; returns (tensor, LossReport)."""
-    wd = weights.to_dict()
+    wd = config_to_dict(weights)
     unknown = set(terms) - set(wd)
     if unknown:
         raise ConfigError(f"unknown loss terms: {sorted(unknown)}")

@@ -17,13 +17,13 @@ post-hoc readout; the object vertices themselves carry the supervision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from . import meshkit, scenegen
-from .errors import ConfigError, DimensionError, ParameterError, check_field_types
+from .errors import ConfigError, DimensionError, ParameterError
 
 ABLATION_VARIANTS = {
     "none": ((False, False, False), (False, False, False)),
@@ -73,33 +73,16 @@ class EncoderConfig:
         self.dims = tuple(int(d) for d in self.dims)
         self.human_graph = tuple(bool(f) for f in self.human_graph)
         self.object_graph = tuple(bool(f) for f in self.object_graph)
-        if len(self.dims) != 3 or any(a <= b for a, b in zip(self.dims, self.dims[1:])):
-            raise ConfigError(f"encoder dims must be three strictly decreasing values, got {self.dims}")
+        # the backbone's first width is feat_channels // 8
+        for name, low in (("heads", 1), ("layers_per_block", 1), ("mlp_expansion", 1), ("feat_channels", 8)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"encoder field {name!r} must be at least {low}, got {getattr(self, name)}")
+        decreasing = all(a > b for a, b in zip(self.dims, self.dims[1:]))
+        if len(self.dims) != 3 or not decreasing or self.dims[-1] < 1:
+            raise ConfigError(f"encoder field 'dims' must be three decreasing positive values, got {self.dims}")
         if any(d % self.heads for d in self.dims):
             raise ConfigError(f"encoder dims {self.dims} must be divisible by {self.heads} heads")
         self.variant = flags_variant(self.human_graph, self.object_graph)
-
-    def to_dict(self):
-        return {
-            "dims": list(self.dims),
-            "layers_per_block": self.layers_per_block,
-            "heads": self.heads,
-            "human_graph": list(self.human_graph),
-            "object_graph": list(self.object_graph),
-            "feat_channels": self.feat_channels,
-            "mlp_expansion": self.mlp_expansion,
-            "non_graph_mlp": self.non_graph_mlp,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d.pop("variant", None)
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown encoder config keys: {sorted(unknown)}")
-        check_field_types(cls, d, "encoder config")
-        return cls(**d)
 
     @classmethod
     def for_variant(cls, variant_id: str, **kw):

@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore, kernels, meshkit
-from .errors import DataError, ParameterError
+from .errors import ConfigError, DataError, ParameterError, config_from_dict, config_to_dict
 
 MASK64 = (1 << 64) - 1
 
@@ -420,19 +420,8 @@ class SceneConfig:
     contact_prob: float = 0.8
     contact_threshold: float = 0.05
     knn_k: int = OBJECT_KNN_K
-    templates: tuple = ("box", "chair", "tube")
+    templates: tuple[str, ...] = ("box", "chair", "tube")
     body_parts: str = "default"
-
-    def to_dict(self):
-        d = asdict(self)
-        d["templates"] = list(self.templates)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["templates"] = tuple(d.get("templates", ("box", "chair", "tube")))
-        return cls(**d)
 
 
 @dataclass
@@ -596,7 +585,7 @@ def generate_dataset(out_dir, num: int, seed: int, config: SceneConfig, assets: 
         "seed": seed,
         "sample_templates": sample_templates,
         "sample_seeds": sample_seeds,
-        "config": config.to_dict(),
+        "config": config_to_dict(config),
     }
     contact_scenes = 0
     masks_consistent = 0
@@ -692,10 +681,18 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
     )
 
 
-def load_dataset(data_dir):
-    """Returns (manifest, assets, loader) where loader(i) -> SceneSample."""
+def load_dataset(data_dir, knn_k: int | None = None):
+    """Returns (manifest, assets, loader) where loader(i) -> SceneSample.
+
+    ``knn_k``, when given, overrides the object graph's neighbour count.
+    """
     manifest = load_manifest(data_dir)
-    config = SceneConfig.from_dict(manifest["config"])
+    try:
+        config = config_from_dict(SceneConfig, manifest.get("config"), "scene config")
+    except ConfigError as exc:
+        raise DataError(f"{os.path.join(data_dir, MANIFEST_NAME)}: {exc}") from exc
+    if knn_k is not None:
+        config.knn_k = knn_k
     assets = build_assets(config)
 
     def loader(i):

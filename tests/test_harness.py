@@ -3,13 +3,14 @@
 import csv
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 from hoitg import cli, harness, losses, model, scenegen
-from hoitg.errors import ConfigError, NumericAbort, ParameterError
+from hoitg.errors import ConfigError, NumericAbort, ParameterError, config_from_dict, config_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ class TestTrainConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = harness.TrainConfig(epochs=3, weights=losses.LossWeights(edge=0.5))
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(config_to_dict(cfg)))
         loaded = harness.TrainConfig.from_json_file(path)
         assert loaded.epochs == 3
         assert loaded.weights.edge == 0.5
@@ -53,23 +54,52 @@ class TestTrainConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            harness.TrainConfig.from_dict({"epochs": 1, "warp_speed": 9})
+            config_from_dict(harness.TrainConfig, {"epochs": 1, "warp_speed": 9}, "config")
 
     @pytest.mark.parametrize("section", ["encoder", "weights"])
     def test_unknown_nested_key_rejected(self, section):
         with pytest.raises(ConfigError, match="bogus"):
-            harness.TrainConfig.from_dict({section: {"bogus": 1}})
+            config_from_dict(harness.TrainConfig, {section: {"bogus": 1}}, "config")
 
-    def test_encoder_variant_key_is_derived_not_read(self):
+    def test_encoder_variant_key_rejected(self):
+        # the variant is derived from the graph flags, so no config file carries it
         enc = model.EncoderConfig(human_graph=(True, True, True), object_graph=(True, True, True))
-        cfg = harness.TrainConfig.from_dict({"encoder": {**enc.to_dict(), "variant": "none"}})
-        assert cfg.encoder.variant == "h+o-all"
+        with pytest.raises(ConfigError, match="variant"):
+            config_from_dict(harness.TrainConfig, {"encoder": {**config_to_dict(enc), "variant": "none"}}, "config")
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
             harness.TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             harness.TrainConfig(decay_at=1.5)
+
+
+ENCODER = model.EncoderConfig(
+    dims=(48, 24, 12), layers_per_block=3, heads=3, human_graph=(False,) * 3, object_graph=(False,) * 3,
+    feat_channels=32, mlp_expansion=3, non_graph_mlp=False,
+)
+WEIGHTS = losses.LossWeights(*(1.5 + 0.25 * i for i in range(len(losses.TERM_NAMES))))
+
+
+@pytest.mark.parametrize("cfg", [
+    harness.TrainConfig(
+        epochs=3, steps_per_epoch=5, batch_size=2, lr=3e-4, lr_decay=0.5, decay_at=0.25, seed=4,
+        data_dir="d", checkpoint_path="c.ckpt", log_path="c.csv", encoder=ENCODER, weights=WEIGHTS,
+        templates=("tube", "box"), knn_k=7,
+    ),
+    ENCODER,
+    WEIGHTS,
+    scenegen.SceneConfig(
+        res=32, v0=16, v1=32, body_seed=5, pose_dim=12, shape_dim=2, param_range=0.8, contact_prob=0.5,
+        contact_threshold=0.04, knn_k=7, templates=("tube", "box"), body_parts="mini",
+    ),
+], ids=lambda cfg: type(cfg).__name__)
+def test_config_json_roundtrip(cfg):
+    # every field differs from its default, so a field the codec drops shows
+    default = type(cfg)()
+    assert all(getattr(cfg, k) != getattr(default, k) for k in config_to_dict(cfg))
+    text = json.dumps(config_to_dict(cfg))
+    assert config_from_dict(type(cfg), json.loads(text), "config") == cfg
 
 
 class TestTrainLoop:
@@ -90,7 +120,7 @@ class TestTrainLoop:
         with open(cfg.checkpoint_path + ".loss.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
-        w = cfg.weights.to_dict()
+        w = config_to_dict(cfg.weights)
         for row in rows:
             total = float(row["total"])
             weighted = sum(w[name] * float(row[name]) for name in losses.TERM_NAMES)
@@ -282,6 +312,9 @@ def test_knn_override_builds_assets_once(mini_dataset, tmp_path, monkeypatch):
     assert calls == [3]
 
 
+ONE_STEP = {"epochs": 1, "steps_per_epoch": 1, "batch_size": 1}
+
+
 class TestCli:
     def test_gen_train_eval_viz_pipeline(self, tmp_path):
         data = str(tmp_path / "ds")
@@ -336,7 +369,18 @@ class TestCli:
         ({"weights": {"edge": "a"}}, "edge"),
         ({"encoder": {"dims": 5}}, "dims"),
         ({"lr": None}, "lr"),
-    ], ids=["encoder-int", "epochs-str", "weight-str", "dims-int", "lr-null"])
+        # out of range: one step, in case a value slips through to training
+        ({**ONE_STEP, "encoder": {"heads": 0}}, "heads"),
+        ({**ONE_STEP, "encoder": {"heads": -4}}, "heads"),
+        ({**ONE_STEP, "encoder": {"mlp_expansion": 0}}, "mlp_expansion"),
+        ({**ONE_STEP, "encoder": {"mlp_expansion": -1}}, "mlp_expansion"),
+        ({**ONE_STEP, "encoder": {"layers_per_block": 0}}, "layers_per_block"),
+        ({**ONE_STEP, "encoder": {"feat_channels": 4}}, "feat_channels"),
+        ({**ONE_STEP, "encoder": {"dims": [16, 12, 0]}}, "dims"),
+        ({**ONE_STEP, "encoder": {"dims": [16, 12, -8]}}, "dims"),
+        ({**ONE_STEP, "seed": -1}, "seed"),
+    ], ids=["encoder-int", "epochs-str", "weight-str", "dims-int", "lr-null", "heads-0", "heads-neg",
+            "mlp-0", "mlp-neg", "layers-0", "feat-4", "dims-0", "dims-neg", "seed-neg"])
     def test_exit_code_wrong_typed_value(self, mini_dataset, tmp_path, capsys, bad_cfg, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_cfg))
@@ -344,6 +388,38 @@ class TestCli:
                        "--out", str(tmp_path / "x.ckpt")])
         assert rc == 2
         assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"x"', "null"], ids=["list", "number", "string", "null"])
+    def test_exit_code_config_not_an_object(self, mini_dataset, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = cli.main(["train", "--data", mini_dataset, "--config", str(bad),
+                       "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, field", [
+        ({"bogus": 1}, "bogus"),
+        ({"res": "32"}, "res"),
+        ({"v0": None}, "v0"),
+    ], ids=["unknown", "res-str", "v0-null"])
+    def test_exit_code_malformed_manifest_config(self, mini_dataset, tmp_path, capsys, bad, field):
+        cfg = tiny_train_config(mini_dataset, tmp_path / "w.ckpt", epochs=1, steps_per_epoch=1)
+        harness.train(cfg, quiet=True)
+        data = tmp_path / "ds"
+        shutil.copytree(mini_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["config"].update(bad)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and repr(field) in err
+        rc = cli.main(["eval", "--data", str(data), "--ckpt", cfg.checkpoint_path,
+                       "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and repr(field) in err
 
     def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path):
         cfg = tiny_train_config(mini_dataset, tmp_path / "v.ckpt")
