@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -417,7 +418,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, retain: bo
     if d % heads != 0:
         raise DimensionError(f"attention: width {d} not divisible by {heads} heads")
     dh = d // heads
-    alpha = 1.0 / np.sqrt(dh)
+    alpha = 1.0 / math.sqrt(dh)  # a Python float keeps float32 scores float32
     attn = np.empty((heads, n, n), dtype=q.data.dtype)
     out = np.empty_like(q.data)
     for h in range(heads):

@@ -208,7 +208,6 @@ def _write_checkpoint(cfg: TrainConfig, net, manifest, step, snapshot):
         "kind": "hoitg-checkpoint",
         "train_config": config_to_dict(cfg),
         "scene_config": manifest["config"],
-        "encoder": config_to_dict(cfg.encoder),
         "step": step,
         "snapshot": snapshot,
     }

@@ -25,13 +25,16 @@ def pairwise_distances(a, b):
     """Euclidean distance matrix between point sets a (n,3) and b (m,3).
 
     Squares are summed one coordinate at a time, in the order a sum over the
-    coordinate axis takes, so no (n, m, 3) array is built.
+    coordinate axis takes, into preallocated buffers, so no (n, m, 3) array is
+    built.
     """
     sq = np.zeros((len(a), len(b)), dtype=np.result_type(a, b))
+    d = np.empty_like(sq)
     for k in range(a.shape[1]):
-        d = np.subtract.outer(a[:, k], b[:, k])
-        sq += d * d
-    return np.sqrt(sq)
+        np.subtract.outer(a[:, k], b[:, k], out=d)
+        np.multiply(d, d, out=d)
+        sq += d
+    return np.sqrt(sq, out=sq)
 
 
 def min_distances(a, b):
@@ -48,16 +51,30 @@ def min_distances(a, b):
 
 
 def fps(points, m, start):
-    """Greedy farthest point sampling; ties resolved to the lowest index."""
+    """Greedy farthest point sampling; ties resolved to the lowest index.
+
+    Returns the picks (m,) and the (n, m) distances from every point to each
+    pick, bit-equal to ``pairwise_distances(points, points[picks])``: each
+    distance row is summed one coordinate at a time, as there.
+    """
+    n = len(points)
+    cols = [np.ascontiguousarray(points[:, k]) for k in range(points.shape[1])]
     chosen = np.empty(m, dtype=np.int64)
-    chosen[0] = start
-    dist = np.sqrt(((points - points[start]) ** 2).sum(axis=1))
-    for k in range(1, m):
-        nxt = int(np.argmax(dist))
-        chosen[k] = nxt
-        cand = np.sqrt(((points - points[nxt]) ** 2).sum(axis=1))
-        np.minimum(dist, cand, out=dist)
-    return chosen
+    dist = np.zeros((m, n), dtype=points.dtype)  # row k: distance to pick k
+    nearest = np.full(n, np.inf, dtype=points.dtype)
+    diff = np.empty(n, dtype=points.dtype)
+    pick = start
+    for k in range(m):
+        chosen[k] = pick
+        row = dist[k]
+        for c in cols:
+            np.subtract(c, c[pick], out=diff)
+            np.multiply(diff, diff, out=diff)
+            row += diff
+        np.sqrt(row, out=row)
+        np.minimum(nearest, row, out=nearest)
+        pick = int(nearest.argmax())
+    return chosen, dist.T
 
 
 def gelu_forward(x):

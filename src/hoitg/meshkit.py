@@ -67,8 +67,10 @@ class SamplingOperators:
     ``mid_indices`` (V1,) pick farthest-point-sampled full vertices, and the
     coarse picks are the first V0 mid picks. ``up01`` (V1,V0) and ``up12``
     (V2,V1) interpolate each finer vertex from its 3 nearest coarser vertices
-    with inverse-distance weights; every row sums to 1. Built once from the
-    template and never updated by training.
+    with inverse-distance weights; every row sums to 1. ``nearest_coarse``
+    (V2,) maps each full vertex to its nearest coarse vertex, the clusters
+    that :func:`coarsen_edge_graph` joins. Built once from the template and
+    never updated by training.
     """
 
     sizes: tuple
@@ -76,6 +78,7 @@ class SamplingOperators:
     up12: np.ndarray
     coarse_indices: np.ndarray
     mid_indices: np.ndarray
+    nearest_coarse: np.ndarray
 
 
 @dataclass
@@ -137,14 +140,18 @@ def normalize_adjacency(raw: SparseAdjacency) -> SparseAdjacency:
     return SparseAdjacency.from_dense(dense)
 
 
-def farthest_point_sample(points: np.ndarray, m: int, seed: int) -> np.ndarray:
-    """Greedy farthest point sampling from a seeded random start index."""
+def farthest_point_sample(points: np.ndarray, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy farthest point sampling from a seeded random start index.
+
+    Returns the picks (m,) and the (n, m) float64 distances from every point
+    to each pick, as ``kernels.fps`` does.
+    """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n = points.shape[0]
     if m > n:
         raise ParameterError(f"farthest_point_sample: m={m} exceeds n={n}")
     if m == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty((n, 0))
     start = int(np.random.default_rng(seed).integers(0, n))
     return kernels.fps(points, m, start)
 
@@ -154,40 +161,39 @@ def build_sampling_operators(full_template: Mesh, v0: int, v1: int, seed: int) -
 
     The mid scale is a farthest-point subset of the full vertices and the
     coarse scale is the first v0 picks of the same greedy sequence, so coarse
-    vertices nest inside the mid set.
+    vertices nest inside the mid set. Every operator comes from the one
+    (V2, V1) distance matrix the sampling computes: its columns are the mid
+    vertices, and its first v0 columns the coarse ones.
     """
     verts = np.asarray(full_template.vertices, dtype=np.float64)
     v2 = verts.shape[0]
     if not 0 < v0 < v1 < v2:
         raise ParameterError(f"build_sampling_operators: need 0 < V0 < V1 < V2, got {v0},{v1},{v2}")
-    picks = farthest_point_sample(verts, v1, seed)
-    mid_idx = picks
-    coarse_idx = picks[:v0]
-    up01 = _interp_matrix(verts[mid_idx], verts[coarse_idx])
-    up12 = _interp_matrix(verts, verts[mid_idx])
+    mid_idx, dist = farthest_point_sample(verts, v1, seed)
     return SamplingOperators(
         sizes=(v0, v1, v2),
-        up01=up01,
-        up12=up12,
-        coarse_indices=coarse_idx.copy(),
-        mid_indices=mid_idx.copy(),
+        up01=_interp_matrix(dist[mid_idx, :v0]),
+        up12=_interp_matrix(dist),
+        coarse_indices=mid_idx[:v0].copy(),
+        mid_indices=mid_idx,
+        nearest_coarse=np.argmin(dist[:, :v0], axis=1),
     )
 
 
-def _interp_matrix(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+def _interp_matrix(dist: np.ndarray) -> np.ndarray:
     """Rows interpolate each fine vertex from its 3 nearest coarse vertices.
 
-    Inverse-distance weights normalized to sum 1; an exact coincidence
-    collapses the row to a one-hot selection.
+    ``dist`` is the (fine, coarse) distance matrix. Inverse-distance weights
+    normalized to sum 1; an exact coincidence collapses the row to a one-hot
+    selection.
     """
-    nf = fine.shape[0]
-    dist = kernels.pairwise_distances(fine, coarse)
-    nbrs = _nearest(dist, min(3, coarse.shape[0]))
+    nf, nc = dist.shape
+    nbrs = _nearest(dist, min(3, nc))
     d = np.take_along_axis(dist, nbrs, axis=1)
     hit = d[:, 0] < 1e-12
     d[hit] = 1.0  # these rows become one-hot below; keeps 1/d finite
     w = 1.0 / d
-    out = np.zeros((nf, coarse.shape[0]), dtype=np.float32)
+    out = np.zeros((nf, nc), dtype=np.float32)
     out[np.arange(nf)[:, None], nbrs] = (w / w.sum(axis=1, keepdims=True)).astype(np.float32)
     out[hit] = 0.0
     out[hit, nbrs[hit, 0]] = 1.0
@@ -243,26 +249,25 @@ def edge_list(faces: np.ndarray) -> np.ndarray:
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     if faces.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]], axis=0)
-    pairs = np.sort(pairs, axis=1)
-    return np.unique(pairs, axis=0)
+    lo = np.minimum(faces, faces[:, [1, 2, 0]]).ravel()
+    hi = np.maximum(faces, faces[:, [1, 2, 0]]).ravel()
+    # one int64 key per edge sorts in the (min, max) lexicographic order
+    n = int(faces.max()) + 1
+    keys = np.unique(lo * n + hi)
+    return np.stack([keys // n, keys % n], axis=1)
 
 
-def coarsen_edge_graph(faces: np.ndarray, full_vertices: np.ndarray, coarse_indices: np.ndarray) -> SparseAdjacency:
-    """Unit-weight edge graph among coarse vertices, induced by the full mesh.
+def coarsen_edge_graph(edges: np.ndarray, nearest_coarse: np.ndarray, n: int) -> SparseAdjacency:
+    """Unit-weight edge graph among n coarse vertices, induced by the full mesh.
 
-    Every full vertex is assigned to its nearest coarse vertex; a full-mesh
-    edge whose endpoints land in different clusters connects those two coarse
-    vertices. Row-normalizing the result gives the human-token adjacency.
+    ``nearest_coarse`` assigns every full vertex to its nearest coarse vertex;
+    a full-mesh edge whose endpoints land in different clusters connects those
+    two coarse vertices. Row-normalizing the result gives the human-token
+    adjacency.
     """
-    full_vertices = np.asarray(full_vertices, dtype=np.float64)
-    coarse = full_vertices[coarse_indices]
-    assign = np.argmin(kernels.pairwise_distances(full_vertices, coarse), axis=1)
-    edges = edge_list(faces)
-    n = len(coarse_indices)
     dense = np.zeros((n, n), dtype=np.float64)
-    a = assign[edges[:, 0]]
-    b = assign[edges[:, 1]]
+    a = nearest_coarse[edges[:, 0]]
+    b = nearest_coarse[edges[:, 1]]
     keep = a != b
     dense[a[keep], b[keep]] = 1.0
     dense[b[keep], a[keep]] = 1.0

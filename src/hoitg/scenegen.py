@@ -69,6 +69,8 @@ MINI_BODY_PARTS = [
     {"name": "leg_r", "center": [0.09, -0.44, 0.0], "radii": [0.075, 0.43, 0.075], "nu": 3, "nv": 4},
 ]
 
+BODY_PARTS = {"default": DEFAULT_BODY_PARTS, "mini": MINI_BODY_PARTS}
+
 JOINT_ANCHORS = [
     ("head", [0.0, 0.72, 0.0]),
     ("neck", [0.0, 0.56, 0.0]),
@@ -86,37 +88,32 @@ JOINT_ANCHORS = [
 
 
 def _ellipsoid(center, radii, nu, nv, base_index):
-    """Closed UV-sphere ellipsoid: nu*nv + 2 vertices, 2*nu*nv faces."""
+    """Closed UV-sphere ellipsoid: nu*nv + 2 vertices, 2*nu*nv faces.
+
+    Vertex 0 is the top pole, then nu latitude rings of nv vertices, then the
+    bottom pole. The sines and cosines are taken per ring and per column with
+    ``math``, so the template does not depend on numpy's vectorized trig.
+    """
     cx, cy, cz = center
     rx, ry, rz = radii
-    verts = [[cx, cy + ry, cz]]
-    for i in range(1, nu + 1):
-        phi = math.pi * i / (nu + 1)
-        sp, cp = math.sin(phi), math.cos(phi)
-        for j in range(nv):
-            th = 2.0 * math.pi * j / nv
-            verts.append([cx + rx * sp * math.cos(th), cy + ry * cp, cz + rz * sp * math.sin(th)])
-    verts.append([cx, cy - ry, cz])
-    bottom = len(verts) - 1
+    phi = [math.pi * i / (nu + 1) for i in range(1, nu + 1)]
+    th = [2.0 * math.pi * j / nv for j in range(nv)]
+    sp = np.array([math.sin(p) for p in phi])[:, None]
+    cp = np.array([math.cos(p) for p in phi])[:, None]
+    ct = np.array([math.cos(t) for t in th])
+    st = np.array([math.sin(t) for t in th])
+    rings = np.stack(np.broadcast_arrays(cx + rx * sp * ct, cy + ry * cp, cz + rz * sp * st), axis=-1)
+    verts = np.concatenate([[[cx, cy + ry, cz]], rings.reshape(-1, 3), [[cx, cy - ry, cz]]])
 
-    def ring(i, j):
-        return 1 + (i - 1) * nv + (j % nv)
-
-    faces = []
-    for j in range(nv):
-        faces.append([0, ring(1, j + 1), ring(1, j)])
-    for i in range(1, nu):
-        for j in range(nv):
-            a, b = ring(i, j), ring(i, j + 1)
-            c, d = ring(i + 1, j), ring(i + 1, j + 1)
-            faces.append([a, b, d])
-            faces.append([a, d, c])
-    for j in range(nv):
-        faces.append([bottom, ring(nu, j), ring(nu, j + 1)])
-    return (
-        np.asarray(verts, dtype=np.float64),
-        np.asarray(faces, dtype=np.int64) + base_index,
-    )
+    ring = 1 + nv * np.arange(nu)[:, None] + np.arange(nv)  # (nu, nv) vertex indices
+    nxt = np.roll(ring, -1, axis=1)  # the next vertex along each ring
+    a, b, c, d = ring[:-1], nxt[:-1], ring[1:], nxt[1:]
+    faces = np.concatenate([
+        np.stack([np.full(nv, 0), nxt[0], ring[0]], axis=1),
+        np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3),
+        np.stack([np.full(nv, nu * nv + 1), ring[-1], nxt[-1]], axis=1),
+    ])
+    return verts, faces.astype(np.int64) + base_index
 
 
 def build_body_template(parts=None) -> meshkit.Mesh:
@@ -423,6 +420,25 @@ class SceneConfig:
     templates: tuple[str, ...] = ("box", "chair", "tube")
     body_parts: str = "default"
 
+    def __post_init__(self):
+        def need(ok, field, rule):
+            if not ok:
+                raise ConfigError(f"scene config field {field!r} must be {rule}, got {getattr(self, field)!r}")
+
+        for name in ("res", "pose_dim", "shape_dim"):
+            need(getattr(self, name) >= 1, name, "at least 1")
+        need(self.body_seed >= 0, "body_seed", "non-negative")
+        need(self.body_parts in BODY_PARTS, "body_parts", f"one of {sorted(BODY_PARTS)}")
+        need(0 < self.v0 < self.v1, "v0", f"in (0, v1={self.v1})")
+        v2 = sum(p["nu"] * p["nv"] + 2 for p in BODY_PARTS[self.body_parts])
+        need(self.v1 < v2, "v1", f"below the {v2} vertices of the {self.body_parts} body")
+        need(1 <= self.knn_k < OBJECT_VERTEX_COUNT, "knn_k", f"in [1, {OBJECT_VERTEX_COUNT})")
+        need(len(self.templates) > 0 and set(self.templates) <= set(_OBJECT_BUILDERS), "templates",
+             f"a non-empty list of {list_object_templates()}")
+        need(self.param_range > 0, "param_range", "positive")
+        need(self.contact_threshold > 0, "contact_threshold", "positive")
+        need(0.0 <= self.contact_prob <= 1.0, "contact_prob", "in [0, 1]")
+
 
 @dataclass
 class SceneAssets:
@@ -437,9 +453,9 @@ class SceneAssets:
 
 
 def build_assets(config: SceneConfig) -> SceneAssets:
-    parts = DEFAULT_BODY_PARTS if config.body_parts == "default" else MINI_BODY_PARTS
     body = build_toy_body(
-        config.body_seed, parts=parts, pose_dim=config.pose_dim, shape_dim=config.shape_dim
+        config.body_seed, parts=BODY_PARTS[config.body_parts], pose_dim=config.pose_dim,
+        shape_dim=config.shape_dim,
     )
     ops = meshkit.build_sampling_operators(
         meshkit.Mesh(vertices=body.template, faces=body.faces),
@@ -447,10 +463,10 @@ def build_assets(config: SceneConfig) -> SceneAssets:
         config.v1,
         seed=config.body_seed,
     )
-    coarse_adj = meshkit.coarsen_edge_graph(body.faces, body.template, ops.coarse_indices)
+    edges = meshkit.edge_list(body.faces)
+    coarse_adj = meshkit.coarsen_edge_graph(edges, ops.nearest_coarse, config.v0)
     human_adj = meshkit.normalize_adjacency(coarse_adj).to_dense()
     objects = {tid: build_object_template(tid, config.knn_k) for tid in config.templates}
-    edges = meshkit.edge_list(body.faces)
     return SceneAssets(
         config=config,
         body=body,

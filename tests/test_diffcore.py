@@ -102,6 +102,45 @@ class TestSoftmax:
             dc.softmax(dc.tensor(np.zeros((2, 2))), axis=5)
 
 
+def attention_reference(q, k, v, g, heads):
+    """Per-head attention forward and backward, every intermediate float32."""
+    n, d = q.shape
+    dh = d // heads
+    alpha = F32(1.0 / np.sqrt(dh))
+    out, dq, dk, dv = (np.zeros((n, d), dtype=F32) for _ in range(4))
+    attn = np.zeros((heads, n, n), dtype=F32)
+    for h in range(heads):
+        s = slice(h * dh, (h + 1) * dh)
+        scores = (q[:, s] @ k[:, s].T) * alpha
+        scores -= scores.max(axis=1, keepdims=True)
+        e = np.exp(scores)
+        a = e / e.sum(axis=1, keepdims=True)
+        assert a.dtype == F32
+        attn[h] = a
+        out[:, s] = a @ v[:, s]
+        da = g[:, s] @ v[:, s].T
+        dv[:, s] = a.T @ g[:, s]
+        ds = a * (da - (da * a).sum(axis=1, keepdims=True))
+        assert ds.dtype == F32
+        dq[:, s] = (ds @ k[:, s]) * alpha
+        dk[:, s] = (ds.T @ q[:, s]) * alpha
+    return out, attn, dq, dk, dv
+
+
+class TestAttention:
+    @pytest.mark.parametrize("n, d, heads", [(7, 8, 2), (40, 32, 4), (172, 128, 4)])
+    def test_float32_matches_float32_reference(self, rng, n, d, heads):
+        q, k, v, g = (rng.normal(size=(n, d)).astype(F32) for _ in range(4))
+        qt, kt, vt = dc.tensor(q), dc.tensor(k), dc.tensor(v)
+        out, attn = dc.multi_head_attention(qt, kt, vt, heads, retain=True)
+        dc.backward(dc.sum_all(dc.mul(out, dc.tensor(g))))
+        want = attention_reference(q, k, v, g, heads)
+        got = (out.data, attn, qt.grad, kt.grad, vt.grad)
+        for name, x, y in zip(("out", "attn", "dq", "dk", "dv"), got, want):
+            assert x.dtype == F32, name
+            assert np.array_equal(x, y), name
+
+
 class TestLayerNorm:
     def test_constant_row_zero_output(self):
         x = dc.tensor(np.full((1, 4), 3.7, dtype=F32))

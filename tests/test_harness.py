@@ -187,6 +187,15 @@ class TestCheckpoint:
         assert manifest["train_config"]["seed"] == 9
         assert "cd_human_cm" in manifest["snapshot"]
 
+    def test_checkpoint_stores_the_encoder_once(self, mini_dataset, tmp_path):
+        enc = model.EncoderConfig(dims=(16, 12, 8), heads=2, feat_channels=16, layers_per_block=1)
+        cfg = tiny_train_config(mini_dataset, tmp_path / "e.ckpt", epochs=1, steps_per_epoch=1, encoder=enc)
+        harness.train(cfg, quiet=True)
+        net, manifest = harness.load_checkpoint(cfg.checkpoint_path)
+        assert "encoder" not in manifest
+        assert manifest["train_config"]["encoder"] == json.loads(json.dumps(config_to_dict(enc)))
+        assert net.cfg == enc
+
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "junk.bin"
         from hoitg import diffcore as dc
@@ -420,6 +429,48 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err
         assert "manifest.json" in err and repr(field) in err
+
+    @pytest.mark.parametrize("bad, field", [
+        ({"templates": []}, "templates"),
+        ({"templates": ["box", "giant"]}, "templates"),
+        ({"pose_dim": -1}, "pose_dim"),
+        ({"shape_dim": 0}, "shape_dim"),
+        ({"res": 0}, "res"),
+        ({"body_seed": -1}, "body_seed"),
+        ({"knn_k": 0}, "knn_k"),
+        ({"knn_k": 64}, "knn_k"),
+        ({"v0": 0}, "v0"),
+        ({"v0": 32}, "v0"),
+        ({"v1": 68}, "v1"),
+        ({"body_parts": "giant"}, "body_parts"),
+        ({"contact_threshold": 0.0}, "contact_threshold"),
+        ({"param_range": -1.2}, "param_range"),
+        ({"contact_prob": 1.5}, "contact_prob"),
+    ], ids=["templates-empty", "templates-unknown", "pose-neg", "shape-0", "res-0", "body-seed-neg", "knn-0",
+            "knn-64", "v0-0", "v0-v1", "v1-v2", "body-giant", "threshold-0", "range-neg", "prob-1.5"])
+    def test_exit_code_out_of_range_manifest_config(self, mini_dataset, tmp_path, capsys, bad, field):
+        data = tmp_path / "ds"
+        shutil.copytree(mini_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["config"].update(bad)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        one_step = tmp_path / "one.json"  # bounds the run should a value slip through
+        one_step.write_text(json.dumps(ONE_STEP))
+        rc = cli.main(["train", "--data", str(data), "--config", str(one_step), "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and repr(field) in err
+
+    @pytest.mark.parametrize("args, field", [
+        (["--res", "0"], "res"),
+        (["--templates", "box,giant"], "templates"),
+        (["--templates", ","], "templates"),
+    ], ids=["res-0", "templates-unknown", "templates-empty"])
+    def test_exit_code_gen_out_of_range(self, tmp_path, capsys, args, field):
+        rc = cli.main(["gen", "--out", str(tmp_path / "ds"), "--num", "2", *args])
+        assert rc == 2
+        assert repr(field) in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
     def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path):
         cfg = tiny_train_config(mini_dataset, tmp_path / "v.ckpt")

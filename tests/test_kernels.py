@@ -66,16 +66,35 @@ def _fps_oracle(points, m, start):
 def test_fps_matches_loop(rng):
     pts = rng.normal(size=(60, 3))
     for m, start in [(1, 0), (10, 3), (60, 59)]:
-        assert np.array_equal(kernels.fps(pts, m, start), _fps_oracle(pts, m, start))
+        picks, _ = kernels.fps(pts, m, start)
+        assert np.array_equal(picks, _fps_oracle(pts, m, start))
+
+
+def _lattice():
+    # integer lattice: many exactly equal distances
+    grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0), np.arange(2.0), indexing="ij"), -1)
+    return grid.reshape(-1, 3)
 
 
 def test_fps_ties_go_to_the_lower_index():
-    # integer lattice: many exactly equal distances
-    grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0), np.arange(2.0), indexing="ij"), -1)
-    pts = grid.reshape(-1, 3)
+    pts = _lattice()
     for start in (0, 5, 31):
-        assert np.array_equal(kernels.fps(pts, 12, start), _fps_oracle(pts, 12, start))
-    assert list(kernels.fps(np.zeros((5, 3)), 3, 2)) == [2, 0, 0]
+        picks, _ = kernels.fps(pts, 12, start)
+        assert np.array_equal(picks, _fps_oracle(pts, 12, start))
+    picks, _ = kernels.fps(np.zeros((5, 3)), 3, 2)
+    assert picks.tolist() == [2, 0, 0]
+
+
+def test_fps_distances_match_pairwise(rng):
+    # the distances the sampling kept are the matrix the operators are built from
+    clouds = [rng.normal(size=(60, 3)), rng.normal(size=(200, 3)) * 0.1, _lattice(), np.zeros((5, 3))]
+    for pts in clouds:
+        for m, start in [(1, 0), (3, 2), (len(pts), len(pts) - 1)]:
+            picks, dist = kernels.fps(pts, m, start)
+            assert dist.shape == (len(pts), m) and dist.dtype == pts.dtype
+            assert np.array_equal(dist, kernels.pairwise_distances(pts, pts[picks]))
+            expected = np.array([[_dist(p, pts[j]) for j in picks] for p in pts])
+            assert np.array_equal(dist, expected)
 
 
 def test_gelu_matches_reference():

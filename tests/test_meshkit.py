@@ -106,13 +106,14 @@ class TestNormalizeAdjacency:
 class TestFarthestPointSample:
     def test_full_sample_is_permutation(self, rng):
         pts = rng.normal(size=(17, 3))
-        idx = meshkit.farthest_point_sample(pts, 17, seed=3)
+        idx, dist = meshkit.farthest_point_sample(pts, 17, seed=3)
         assert sorted(idx.tolist()) == list(range(17))
+        assert np.array_equal(dist, kernels.pairwise_distances(pts, pts[idx]))
 
     def test_square_corners_tie_break(self):
         # start at the center: all corners are equidistant, lowest index wins
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0]])
-        picks = kernels.fps(pts, 2, 4)
+        picks, _ = kernels.fps(pts, 2, 4)
         assert picks[0] == 4
         assert picks[1] == 0
 
@@ -125,7 +126,7 @@ class TestFarthestPointSample:
         wins = 0
         for trial in range(50):
             pts = rng.normal(size=(80, 3))
-            fps_idx = meshkit.farthest_point_sample(pts, 12, seed=trial)
+            fps_idx, _ = meshkit.farthest_point_sample(pts, 12, seed=trial)
             rand_idx = np.random.default_rng(trial).choice(80, size=12, replace=False)
             if min_pairwise(pts[fps_idx]) >= min_pairwise(pts[rand_idx]):
                 wins += 1
@@ -300,6 +301,14 @@ class TestEdgeList:
     def test_shared_edge_deduplicated(self):
         edges = meshkit.edge_list(np.array([[0, 1, 2], [1, 2, 3]]))
         assert len(edges) == 5
+
+    def test_matches_set_oracle(self, rng):
+        faces = [rng.integers(0, 30, size=(40, 3)), scenegen.build_body_template().faces]
+        for f in faces:
+            oracle = sorted({(min(u, v), max(u, v)) for a, b, c in f.tolist() for u, v in ((a, b), (b, c), (a, c))})
+            edges = meshkit.edge_list(f)
+            assert edges.dtype == np.int64 and edges.shape == (len(oracle), 2)
+            assert edges.tolist() == [list(e) for e in oracle]
 
     def test_closed_manifold_euler_relation(self):
         mesh = scenegen.build_body_template(scenegen.MINI_BODY_PARTS)

@@ -1,9 +1,12 @@
 """Scene generator tests: body model, placement policy, rendering, datasets."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hoitg import diffcore as dc
+from hoitg import kernels, meshkit
 from hoitg import scenegen as sg
 from hoitg.errors import ParameterError
 
@@ -260,3 +263,83 @@ def test_box_template_symmetric_under_half_turn():
     flipped = box @ sg.rodrigues(np.array([0.0, np.pi, 0.0])).T.astype(np.float32)
     d = np.sqrt(((flipped[:, None, :] - box[None, :, :]) ** 2).sum(-1))
     assert d.min(axis=1).max() < 1e-6  # every rotated vertex lands on a template vertex
+
+
+def loop_ellipsoid(center, radii, nu, nv, base_index):
+    """Scalar-loop oracle: one vertex and one face at a time."""
+    cx, cy, cz = center
+    rx, ry, rz = radii
+    verts = [[cx, cy + ry, cz]]
+    for i in range(1, nu + 1):
+        phi = math.pi * i / (nu + 1)
+        sp, cp = math.sin(phi), math.cos(phi)
+        for j in range(nv):
+            th = 2.0 * math.pi * j / nv
+            verts.append([cx + rx * sp * math.cos(th), cy + ry * cp, cz + rz * sp * math.sin(th)])
+    verts.append([cx, cy - ry, cz])
+    bottom = len(verts) - 1
+
+    def ring(i, j):
+        return 1 + (i - 1) * nv + (j % nv)
+
+    faces = []
+    for j in range(nv):
+        faces.append([0, ring(1, j + 1), ring(1, j)])
+    for i in range(1, nu):
+        for j in range(nv):
+            a, b = ring(i, j), ring(i, j + 1)
+            c, d = ring(i + 1, j), ring(i + 1, j + 1)
+            faces.append([a, b, d])
+            faces.append([a, d, c])
+    for j in range(nv):
+        faces.append([bottom, ring(nu, j), ring(nu, j + 1)])
+    return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64) + base_index
+
+
+@pytest.mark.parametrize("nu, nv", [(1, 3), (2, 5), (3, 4), (12, 10), (18, 23), (20, 16)])
+def test_ellipsoid_matches_loop_oracle(nu, nv):
+    args = ([0.09, -0.44, 0.01], [0.075, 0.43, 0.06], nu, nv, 7)
+    verts, faces = sg._ellipsoid(*args)
+    want_v, want_f = loop_ellipsoid(*args)
+    assert verts.dtype == np.float64 and faces.dtype == np.int64
+    assert np.array_equal(verts, want_v)
+    assert np.array_equal(faces, want_f)
+
+
+@pytest.mark.parametrize("parts", ["mini", "default"])
+def test_human_graph_clusters_match_pairwise_oracle(parts):
+    cfg = sg.SceneConfig(body_parts=parts, v0=16, v1=32) if parts == "mini" else sg.SceneConfig()
+    assets = sg.build_assets(cfg)
+    full = assets.body.template.astype(np.float64)
+    coarse = full[assets.operators.coarse_indices]
+    nearest = np.argmin(kernels.pairwise_distances(full, coarse), axis=1)
+    assert np.array_equal(assets.operators.nearest_coarse, nearest)
+    # oracle: join the clusters of the two endpoints of every face side
+    n = cfg.v0
+    dense = np.zeros((n, n))
+    for face in assets.body.faces:
+        for u, v in ((face[0], face[1]), (face[1], face[2]), (face[0], face[2])):
+            if nearest[u] != nearest[v]:
+                dense[nearest[u], nearest[v]] = dense[nearest[v], nearest[u]] = 1.0
+    dense /= dense.sum(axis=1, keepdims=True)
+    assert np.array_equal(assets.human_adjacency, dense.astype(np.float32))
+
+
+def test_build_assets_computes_each_distance_once(monkeypatch, mini_config):
+    calls = {"pairwise_distances": 0, "edge_list": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(kernels, "pairwise_distances")
+    counting(meshkit, "edge_list")
+    cfg = sg.SceneConfig(res=32, v0=16, v1=32, body_parts="mini", templates=("box",))
+    sg.build_assets(cfg)
+    # only the object template's KNN graph measures distances again
+    assert calls == {"pairwise_distances": 1, "edge_list": 1}
