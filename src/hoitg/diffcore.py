@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, GraphError
+from .errors import DataError, DimensionError, GraphError
 
 _uid_counter = itertools.count()
 
@@ -631,18 +631,40 @@ def save_params(path, params: dict, extra: dict | None = None):
 
 
 def load_params(path):
-    """Read a parameter file; returns (dict name -> float32 array, manifest)."""
+    """Read a parameter file; returns (dict name -> float32 array, manifest).
+
+    Raise DataError, naming the file and the field, when the framing is
+    broken: a short length prefix, a manifest that is not a UTF-8 JSON object
+    with a ``params`` list, or an entry that does not fit the payload.
+    """
     with open(path, "rb") as fh:
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        payload = fh.read()
+        data = fh.read()
+    if len(data) < 4:
+        raise DataError(f"{path}: {len(data)} bytes, too short for the manifest length prefix")
+    (mlen,) = struct.unpack_from("<I", data)
+    if 4 + mlen > len(data):
+        raise DataError(f"{path}: manifest length {mlen} exceeds the {len(data) - 4} bytes after the prefix")
+    try:
+        manifest = json.loads(data[4 : 4 + mlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: manifest is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), list):
+        raise DataError(f"{path}: manifest field 'params' must be a list")
+    payload = memoryview(data)[4 + mlen :]
     out = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        o = entry["byte_offset"]
-        arr = np.frombuffer(payload[o : o + 4 * count], dtype="<f4").reshape(shape)
-        out[entry["name"]] = arr.copy()
+    for i, entry in enumerate(manifest["params"]):
+        try:
+            name, o = str(entry["name"]), int(entry["byte_offset"])
+            shape = tuple(int(n) for n in entry["shape"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise DataError(f"{path}: manifest field 'params[{i}]' needs name, shape and byte_offset: {exc}") from exc
+        count = int(np.prod(shape))
+        if o < 0 or min(shape, default=0) < 0 or o + 4 * count > len(payload):
+            raise DataError(
+                f"{path}: manifest field 'params[{i}]' ({name!r}, {4 * count} bytes at offset {o}) "
+                f"does not fit the {len(payload)}-byte payload"
+            )
+        out[name] = np.frombuffer(payload, dtype="<f4", count=count, offset=o).reshape(shape).copy()
     return out, manifest
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class TrainConfig:
             raise ConfigError("lr and lr_decay must be positive")
         if self.seed < 0:
             raise ConfigError(f"config field 'seed' must be non-negative, got {self.seed}")
+        if self.knn_k is not None and not 1 <= self.knn_k < scenegen.OBJECT_VERTEX_COUNT:
+            raise ConfigError(
+                f"config field 'knn_k' must be in [1, {scenegen.OBJECT_VERTEX_COUNT}), got {self.knn_k}"
+            )
 
     @classmethod
     def from_json_file(cls, path):
@@ -220,11 +224,14 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint not found: {path}")
     arrays, manifest = dc.load_params(path)
     if manifest.get("kind") != "hoitg-checkpoint":
-        raise ConfigError(f"{path} is not a checkpoint file")
+        raise ConfigError(f"{path} is not a checkpoint file: manifest field 'kind' is {manifest.get('kind')!r}")
+    for key in ("train_config", "scene_config"):
+        if key not in manifest:
+            raise DataError(f"{path}: checkpoint manifest has no {key!r}")
     cfg = config_from_dict(TrainConfig, manifest["train_config"], "checkpoint config")
     scene_cfg = config_from_dict(scenegen.SceneConfig, manifest["scene_config"], "checkpoint scene config")
-    if cfg.knn_k:
-        scene_cfg.knn_k = cfg.knn_k
+    if cfg.knn_k is not None:
+        scene_cfg = replace(scene_cfg, knn_k=cfg.knn_k)
     assets = scenegen.build_assets(scene_cfg)
     net = model.HoiReconstructor(assets, cfg.encoder, seed=cfg.seed)
     net.load_state(arrays)
@@ -380,12 +387,13 @@ def split_indices(n: int, seed: int, ratio: int = 8):
 
 
 def _ablation_runs(variant_id):
+    """The runs of an ablation id, as (label, graph placement id, knn_k) triples."""
     if variant_id == "placement":
-        return [(vid, {"variant": vid}, None) for vid in model.ABLATION_VARIANTS]
+        return [(vid, vid, None) for vid in model.ABLATION_VARIANTS]
     if variant_id == "knn-sweep":
-        return [(f"k{k}", {"variant": "h+o2"}, k) for k in model.KNN_SWEEP]
+        return [(f"k{k}", "h+o2", k) for k in model.KNN_SWEEP]
     if variant_id in model.ABLATION_VARIANTS:
-        return [(variant_id, {"variant": variant_id}, None)]
+        return [(variant_id, variant_id, None)]
     raise ParameterError(
         f"unknown ablation id {variant_id!r}: use one of "
         f"{sorted(model.ABLATION_VARIANTS)} or 'placement' or 'knn-sweep'"
@@ -405,8 +413,8 @@ def run_ablation(variant_id, data_dir, out_dir, epochs=2, steps_per_epoch=16,
     train_idx, eval_idx = split_indices(manifest["num"], seed)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for label, enc_kw, knn_k in runs:
-        enc = model.EncoderConfig.for_variant(enc_kw["variant"])
+    for label, graph, knn_k in runs:
+        human_graph, object_graph = model.ABLATION_VARIANTS[graph]
         ckpt = os.path.join(out_dir, f"{label.replace('+', '_')}.ckpt")
         cfg = TrainConfig(
             epochs=epochs,
@@ -415,15 +423,15 @@ def run_ablation(variant_id, data_dir, out_dir, epochs=2, steps_per_epoch=16,
             seed=seed,
             data_dir=data_dir,
             checkpoint_path=ckpt,
-            encoder=enc,
+            encoder=model.EncoderConfig(graph=graph),
             knn_k=knn_k,
         )
         result = train(cfg, sample_indices=train_idx.tolist(), quiet=True)
         report = evaluate(ckpt, data_dir, sample_indices=eval_idx.tolist())
         row = {
             "variant": label,
-            "human_graph": list(enc.human_graph),
-            "object_graph": list(enc.object_graph),
+            "human_graph": list(human_graph),
+            "object_graph": list(object_graph),
             "knn_k": knn_k,
             "final_loss": result.final_loss,
             "cd_human_cm": report.cd_human_cm,

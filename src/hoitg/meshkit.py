@@ -1,6 +1,6 @@
 """Mesh containers and geometric operators.
 
-Covers KNN adjacency graphs with distance weights, row-stochastic
+Covers dense KNN adjacency matrices with distance weights, row-stochastic
 normalization, farthest point sampling, the down/up sampling operator pair
 used for multi-scale vertex supervision, undirected edge extraction, and the
 SVD rigid fit that reads a rotation / translation out of predicted object
@@ -40,26 +40,6 @@ class Mesh:
 
 
 @dataclass
-class SparseAdjacency:
-    """Weighted adjacency in COO triples over ``n`` nodes."""
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-
-    def to_dense(self, dtype=np.float32) -> np.ndarray:
-        dense = np.zeros((self.n, self.n), dtype=dtype)
-        dense[self.rows, self.cols] = self.weights
-        return dense
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseAdjacency":
-        rows, cols = np.nonzero(dense)
-        return cls(n=dense.shape[0], rows=rows, cols=cols, weights=dense[rows, cols].copy())
-
-
-@dataclass
 class SamplingOperators:
     """Fixed mesh resampling linking three vertex scales.
 
@@ -92,11 +72,12 @@ class RigidPose:
         return points @ self.rotation.T + self.translation
 
 
-def knn_adjacency(points: np.ndarray, k: int) -> SparseAdjacency:
-    """K-nearest-neighbor graph weighted by point distances.
+def knn_adjacency(points: np.ndarray, k: int) -> np.ndarray:
+    """K-nearest-neighbor graph weighted by point distances, as a dense matrix.
 
-    Row i holds the k nearest distinct points of point i, weighted by the
-    Euclidean distance. Ties go to the lower index.
+    Row i of the (n, n) float64 result holds the Euclidean distance at the k
+    nearest distinct points of point i and zero elsewhere. Ties go to the
+    lower index.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -104,9 +85,11 @@ def knn_adjacency(points: np.ndarray, k: int) -> SparseAdjacency:
         raise ParameterError(f"knn_adjacency: need 1 <= k < n, got k={k}, n={n}")
     dist = kernels.pairwise_distances(points, points)
     np.fill_diagonal(dist, np.inf)
-    rows = np.repeat(np.arange(n, dtype=np.int64), k)
-    cols = _nearest(dist, k).ravel()
-    return SparseAdjacency(n=n, rows=rows, cols=cols, weights=dist[rows, cols])
+    rows = np.arange(n)[:, None]
+    cols = _nearest(dist, k)
+    adj = np.zeros((n, n))
+    adj[rows, cols] = dist[rows, cols]
+    return adj
 
 
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -125,19 +108,20 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return picks
 
 
-def normalize_adjacency(raw: SparseAdjacency) -> SparseAdjacency:
+def normalize_adjacency(raw: np.ndarray) -> np.ndarray:
     """Symmetrize by elementwise max with the transpose, then row-normalize.
 
-    Rows with no neighbors stay zero; every other row sums to 1.
+    Takes and returns a dense (n, n) matrix, float64 out. Rows with no
+    neighbors stay zero; every other row sums to 1.
     """
-    if raw.weights.size and raw.weights.min() < 0:
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.size and raw.min() < 0:
         raise ParameterError("normalize_adjacency: negative weights")
-    dense = raw.to_dense(dtype=np.float64)
-    dense = np.maximum(dense, dense.T)
+    dense = np.maximum(raw, raw.T)
     sums = dense.sum(axis=1, keepdims=True)
     nz = sums[:, 0] > 0
     dense[nz] /= sums[nz]
-    return SparseAdjacency.from_dense(dense)
+    return dense
 
 
 def farthest_point_sample(points: np.ndarray, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +241,8 @@ def edge_list(faces: np.ndarray) -> np.ndarray:
     return np.stack([keys // n, keys % n], axis=1)
 
 
-def coarsen_edge_graph(edges: np.ndarray, nearest_coarse: np.ndarray, n: int) -> SparseAdjacency:
-    """Unit-weight edge graph among n coarse vertices, induced by the full mesh.
+def coarsen_edge_graph(edges: np.ndarray, nearest_coarse: np.ndarray, n: int) -> np.ndarray:
+    """Unit-weight (n, n) edge graph among n coarse vertices, induced by the full mesh.
 
     ``nearest_coarse`` assigns every full vertex to its nearest coarse vertex;
     a full-mesh edge whose endpoints land in different clusters connects those
@@ -271,4 +255,4 @@ def coarsen_edge_graph(edges: np.ndarray, nearest_coarse: np.ndarray, n: int) ->
     keep = a != b
     dense[a[keep], b[keep]] = 1.0
     dense[b[keep], a[keep]] = 1.0
-    return SparseAdjacency.from_dense(dense)
+    return dense

@@ -25,6 +25,7 @@ from . import diffcore as dc
 from . import meshkit, scenegen
 from .errors import ConfigError, DimensionError, ParameterError
 
+# graph placement id -> (human, object) graph-block flags per encoder block
 ABLATION_VARIANTS = {
     "none": ((False, False, False), (False, False, False)),
     "h": ((True, True, True), (False, False, False)),
@@ -37,42 +38,23 @@ ABLATION_VARIANTS = {
 KNN_SWEEP = (1, 3, 5, 10, 20)
 
 
-def variant_flags(variant_id: str):
-    """Graph-block placement flags (human, object) for an ablation id."""
-    if variant_id not in ABLATION_VARIANTS:
-        raise ParameterError(
-            f"unknown ablation variant {variant_id!r}; choose from {sorted(ABLATION_VARIANTS)}"
-        )
-    return ABLATION_VARIANTS[variant_id]
-
-
-def flags_variant(human_graph, object_graph) -> str:
-    for vid, (h, o) in ABLATION_VARIANTS.items():
-        if tuple(human_graph) == h and tuple(object_graph) == o:
-            return vid
-    raise ConfigError(
-        f"graph placement flags {tuple(human_graph)}/{tuple(object_graph)} "
-        "match no ablation variant"
-    )
-
-
 @dataclass
 class EncoderConfig:
-    """Widths and structure of the three-block encoder."""
+    """Widths and structure of the three-block encoder.
+
+    ``graph`` names the graph-block placement, a key of ``ABLATION_VARIANTS``;
+    a partition without a graph block in some encoder block gets an MLP there.
+    """
 
     dims: tuple[int, ...] = (128, 64, 32)
     layers_per_block: int = 4
     heads: int = 4
-    human_graph: tuple[bool, ...] = (True, True, True)
-    object_graph: tuple[bool, ...] = (False, True, False)
+    graph: str = "h+o2"
     feat_channels: int = 128
     mlp_expansion: int = 2
-    non_graph_mlp: bool = True
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
-        self.human_graph = tuple(bool(f) for f in self.human_graph)
-        self.object_graph = tuple(bool(f) for f in self.object_graph)
         # the backbone's first width is feat_channels // 8
         for name, low in (("heads", 1), ("layers_per_block", 1), ("mlp_expansion", 1), ("feat_channels", 8)):
             if getattr(self, name) < low:
@@ -82,12 +64,10 @@ class EncoderConfig:
             raise ConfigError(f"encoder field 'dims' must be three decreasing positive values, got {self.dims}")
         if any(d % self.heads for d in self.dims):
             raise ConfigError(f"encoder dims {self.dims} must be divisible by {self.heads} heads")
-        self.variant = flags_variant(self.human_graph, self.object_graph)
-
-    @classmethod
-    def for_variant(cls, variant_id: str, **kw):
-        h, o = variant_flags(variant_id)
-        return cls(human_graph=h, object_graph=o, **kw)
+        if self.graph not in ABLATION_VARIANTS:
+            raise ConfigError(
+                f"encoder field 'graph' must be one of {sorted(ABLATION_VARIANTS)}, got {self.graph!r}"
+            )
 
 
 @dataclass
@@ -214,6 +194,7 @@ class HoiReconstructor:
         self._linear("init.rot", cfg.feat_channels, 3, gain=0.1)
         self._linear("init.trans", cfg.feat_channels, 3, gain=0.1)
 
+        hum_graph, obj_graph = ABLATION_VARIANTS[cfg.graph]
         prev = self.token_width
         branch_gain = 1.0 / np.sqrt(2.0 * 3 * cfg.layers_per_block)
         for b, d in enumerate(cfg.dims):
@@ -227,14 +208,11 @@ class HoiReconstructor:
                 # stays near unit scale and trains quickly from scratch
                 self._linear(f"{base}.attn.wo", d, d, gain=branch_gain)
                 self._mlp(f"{base}.jnt", d)
-                if cfg.human_graph[b]:
-                    self.params[f"{base}.hum.wg"] = dc.tensor(np.zeros((d, d), dtype=np.float32))
-                elif cfg.non_graph_mlp:
-                    self._mlp(f"{base}.hum", d)
-                if cfg.object_graph[b]:
-                    self.params[f"{base}.obj.wg"] = dc.tensor(np.zeros((d, d), dtype=np.float32))
-                elif cfg.non_graph_mlp:
-                    self._mlp(f"{base}.obj", d)
+                for kind, graph in (("hum", hum_graph[b]), ("obj", obj_graph[b])):
+                    if graph:
+                        self.params[f"{base}.{kind}.wg"] = dc.tensor(np.zeros((d, d), dtype=np.float32))
+                    else:
+                        self._mlp(f"{base}.{kind}", d)
             prev = d
         d3 = cfg.dims[-1]
         self._norm("out.norm", d3)
@@ -242,9 +220,6 @@ class HoiReconstructor:
         self._linear("head.jnt", d3, 3, gain=0.3)
         self._linear("head.hum", d3, 3, gain=0.3)
         self._linear("head.obj", d3, 3, gain=0.3)
-
-    def parameters(self):
-        return self.params
 
     def load_state(self, arrays: dict):
         if set(arrays) != set(self.params):
@@ -323,8 +298,6 @@ class HoiReconstructor:
     def _partition_block(self, x, base, kind, enabled, adjacency):
         if enabled:
             return graph_residual_block(x, adjacency, self.params[f"{base}.{kind}.wg"])
-        if not self.cfg.non_graph_mlp:
-            return x
         xn = dc.layer_norm(x, self.params[f"{base}.{kind}.ln.g"], self.params[f"{base}.{kind}.ln.b"])
         hmid = dc.gelu(self._dense(f"{base}.{kind}.fc1", xn))
         return dc.add(x, self._dense(f"{base}.{kind}.fc2", hmid))
@@ -341,6 +314,7 @@ class HoiReconstructor:
                 f"expected ({self.num_tokens}, {expected})"
             )
         j0, h1, n = self.num_joints, self.num_joints + self.v0, self.num_tokens
+        hum_graph, obj_graph = ABLATION_VARIANTS[cfg.graph]
         hum_adj = self.assets.human_adjacency
         obj_adj = self.assets.objects[template_id].adjacency
         x = self._dense(f"block{block_index}.entry", tokens)
@@ -356,12 +330,8 @@ class HoiReconstructor:
             if retain_attention:
                 attn_maps.append(weights)
             jt = self._partition_block(dc.rows(x, 0, j0), base, "jnt", False, None)
-            hm = self._partition_block(
-                dc.rows(x, j0, h1), base, "hum", cfg.human_graph[block_index], hum_adj
-            )
-            ob = self._partition_block(
-                dc.rows(x, h1, n), base, "obj", cfg.object_graph[block_index], obj_adj
-            )
+            hm = self._partition_block(dc.rows(x, j0, h1), base, "hum", hum_graph[block_index], hum_adj)
+            ob = self._partition_block(dc.rows(x, h1, n), base, "obj", obj_graph[block_index], obj_adj)
             x = dc.concat_rows([jt, hm, ob])
         return x, attn_maps
 

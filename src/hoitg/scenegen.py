@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -315,7 +315,7 @@ def build_object_template(template_id: str, knn_k: int = OBJECT_KNN_K) -> Object
         )
     pts = _OBJECT_BUILDERS[template_id]().astype(np.float32)
     mesh = meshkit.Mesh(vertices=pts, faces=np.empty((0, 3), dtype=np.int64))
-    adj = meshkit.normalize_adjacency(meshkit.knn_adjacency(pts, knn_k)).to_dense()
+    adj = meshkit.normalize_adjacency(meshkit.knn_adjacency(pts, knn_k)).astype(np.float32)
     return ObjectTemplate(template_id=template_id, mesh=mesh, adjacency=adj)
 
 
@@ -465,7 +465,7 @@ def build_assets(config: SceneConfig) -> SceneAssets:
     )
     edges = meshkit.edge_list(body.faces)
     coarse_adj = meshkit.coarsen_edge_graph(edges, ops.nearest_coarse, config.v0)
-    human_adj = meshkit.normalize_adjacency(coarse_adj).to_dense()
+    human_adj = meshkit.normalize_adjacency(coarse_adj).astype(np.float32)
     objects = {tid: build_object_template(tid, config.knn_k) for tid in config.templates}
     return SceneAssets(
         config=config,
@@ -650,8 +650,14 @@ def load_manifest(data_dir):
     path = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise DataError(f"no {MANIFEST_NAME} in {data_dir}")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path} must hold a JSON object, got {type(manifest).__name__}")
+    return manifest
 
 
 def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> SceneSample:
@@ -708,7 +714,7 @@ def load_dataset(data_dir, knn_k: int | None = None):
     except ConfigError as exc:
         raise DataError(f"{os.path.join(data_dir, MANIFEST_NAME)}: {exc}") from exc
     if knn_k is not None:
-        config.knn_k = knn_k
+        config = replace(config, knn_k=knn_k)
     assets = build_assets(config)
 
     def loader(i):

@@ -21,6 +21,13 @@ def mini_dataset(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def mini_checkpoint(mini_dataset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    harness.train(tiny_train_config(mini_dataset, path, epochs=1, steps_per_epoch=1), quiet=True)
+    return path
+
+
 def tiny_train_config(data_dir, ckpt_path, **kw):
     defaults = dict(
         epochs=2,
@@ -62,8 +69,8 @@ class TestTrainConfig:
             config_from_dict(harness.TrainConfig, {section: {"bogus": 1}}, "config")
 
     def test_encoder_variant_key_rejected(self):
-        # the variant is derived from the graph flags, so no config file carries it
-        enc = model.EncoderConfig(human_graph=(True, True, True), object_graph=(True, True, True))
+        # the placement's one field is 'graph'; a 'variant' key is not a field
+        enc = model.EncoderConfig(graph="h+o-all")
         with pytest.raises(ConfigError, match="variant"):
             config_from_dict(harness.TrainConfig, {"encoder": {**config_to_dict(enc), "variant": "none"}}, "config")
 
@@ -75,8 +82,7 @@ class TestTrainConfig:
 
 
 ENCODER = model.EncoderConfig(
-    dims=(48, 24, 12), layers_per_block=3, heads=3, human_graph=(False,) * 3, object_graph=(False,) * 3,
-    feat_channels=32, mlp_expansion=3, non_graph_mlp=False,
+    dims=(48, 24, 12), layers_per_block=3, heads=3, graph="none", feat_channels=32, mlp_expansion=3,
 )
 WEIGHTS = losses.LossWeights(*(1.5 + 0.25 * i for i in range(len(losses.TERM_NAMES))))
 
@@ -279,7 +285,7 @@ class TestAblation:
         runs = harness._ablation_runs("knn-sweep")
         ks = [r[2] for r in runs]
         assert ks == [1, 3, 5, 10, 20]
-        assert all(r[1]["variant"] == "h+o2" for r in runs)
+        assert all(r[1] == "h+o2" for r in runs)
 
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
@@ -388,8 +394,14 @@ class TestCli:
         ({**ONE_STEP, "encoder": {"dims": [16, 12, 0]}}, "dims"),
         ({**ONE_STEP, "encoder": {"dims": [16, 12, -8]}}, "dims"),
         ({**ONE_STEP, "seed": -1}, "seed"),
+        ({**ONE_STEP, "knn_k": 0}, "knn_k"),
+        ({**ONE_STEP, "knn_k": 64}, "knn_k"),
+        ({**ONE_STEP, "encoder": {"graph": "h+o4"}}, "graph"),
+        # the per-block flags of the old config format
+        ({**ONE_STEP, "encoder": {"human_graph": [True, True, True]}}, "human_graph"),
     ], ids=["encoder-int", "epochs-str", "weight-str", "dims-int", "lr-null", "heads-0", "heads-neg",
-            "mlp-0", "mlp-neg", "layers-0", "feat-4", "dims-0", "dims-neg", "seed-neg"])
+            "mlp-0", "mlp-neg", "layers-0", "feat-4", "dims-0", "dims-neg", "seed-neg", "knn-0", "knn-64",
+            "graph-unknown", "graph-old-flags"])
     def test_exit_code_wrong_typed_value(self, mini_dataset, tmp_path, capsys, bad_cfg, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_cfg))
@@ -471,6 +483,63 @@ class TestCli:
         assert rc == 2
         assert repr(field) in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("cut, field", [
+        ("0", "length prefix"),
+        ("2", "length prefix"),
+        ("4", "manifest length"),
+        ("mid-manifest", "manifest length"),
+        ("end-of-manifest", "'params[0]'"),
+        ("mid-payload", "'params["),
+    ])
+    def test_exit_code_truncated_checkpoint(self, mini_dataset, mini_checkpoint, tmp_path, capsys, cut, field):
+        data = mini_checkpoint.read_bytes()
+        (mlen,) = struct.unpack("<I", data[:4])
+        size = {"0": 0, "2": 2, "4": 4, "mid-manifest": 4 + mlen // 2, "end-of-manifest": 4 + mlen,
+                "mid-payload": (4 + mlen + len(data)) // 2}[cut]
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(data[:size])
+        rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", str(ckpt), "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and field in err
+
+    # a file without 'kind' is some other parameter file, which is a usage error
+    @pytest.mark.parametrize("key, code", [("params", 3), ("kind", 2), ("train_config", 3), ("scene_config", 3)])
+    def test_exit_code_checkpoint_manifest_missing_key(self, mini_dataset, mini_checkpoint, tmp_path, capsys,
+                                                       key, code):
+        data = mini_checkpoint.read_bytes()
+        (mlen,) = struct.unpack("<I", data[:4])
+        manifest = json.loads(data[4 : 4 + mlen])
+        del manifest[key]
+        mbytes = json.dumps(manifest).encode("utf-8")
+        ckpt = tmp_path / "nokey.ckpt"
+        ckpt.write_bytes(struct.pack("<I", len(mbytes)) + mbytes + data[4 + mlen :])
+        rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", str(ckpt), "--report", str(tmp_path / "rep.json")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and repr(key) in err
+
+    def test_exit_code_checkpoint_manifest_not_json(self, mini_dataset, mini_checkpoint, tmp_path, capsys):
+        data = bytearray(mini_checkpoint.read_bytes())
+        data[4] = 0xFF  # the manifest's opening brace
+        ckpt = tmp_path / "garbled.ckpt"
+        ckpt.write_bytes(bytes(data))
+        rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", str(ckpt), "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "manifest" in err
+
+    @pytest.mark.parametrize("cut", ["half", "list"])
+    def test_exit_code_malformed_dataset_manifest(self, mini_dataset, mini_checkpoint, tmp_path, capsys, cut):
+        data = tmp_path / "ds"
+        shutil.copytree(mini_dataset, data)
+        text = (data / "manifest.json").read_bytes()
+        (data / "manifest.json").write_bytes(text[: len(text) // 2] if cut == "half" else b"[1, 2]")
+        rc = cli.main(["eval", "--data", str(data), "--ckpt", str(mini_checkpoint),
+                       "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        assert "manifest.json" in capsys.readouterr().err
 
     def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path):
         cfg = tiny_train_config(mini_dataset, tmp_path / "v.ckpt")

@@ -31,34 +31,39 @@ def axis_angle_matrix(axis, angle):
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
+def brute_force_knn_dense(points, k):
+    """The exhaustive oracle as an (n, n) matrix: distances at each row's k picks."""
+    dense = np.zeros((len(points), len(points)))
+    for i, picks in brute_force_knn(points, k).items():
+        for d, j in picks:
+            dense[i, j] = d
+    return dense
+
+
 class TestKnnAdjacency:
     def test_collinear_hand_case(self):
         # points 0,1,3,7 on the x axis, k=1: nearest are 1,0,1,2 at distances 1,1,2,4
         pts = np.array([[0, 0, 0], [1, 0, 0], [3, 0, 0], [7, 0, 0]], dtype=float)
         adj = meshkit.knn_adjacency(pts, 1)
-        assert adj.cols.tolist() == [1, 0, 1, 2]
-        assert adj.weights.tolist() == [1.0, 1.0, 2.0, 4.0]
+        expected = np.zeros((4, 4))
+        expected[[0, 1, 2, 3], [1, 0, 1, 2]] = [1.0, 1.0, 2.0, 4.0]
+        assert adj.dtype == np.float64
+        assert np.array_equal(adj, expected)
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_matches_exhaustive_oracle(self, k, rng):
         pts = rng.normal(size=(200, 3))
         adj = meshkit.knn_adjacency(pts, k)
-        oracle = brute_force_knn(pts, k)
-        by_row = {}
-        for r, c, w in zip(adj.rows, adj.cols, adj.weights):
-            by_row.setdefault(int(r), []).append((float(w), int(c)))
-        for i in range(200):
-            got = sorted(by_row[i], key=lambda t: (t[0], t[1]))
-            expected = [(d, j) for d, j in oracle[i]]
-            assert [j for _, j in got] == [j for _, j in expected]
-            assert np.allclose([d for d, _ in got], [d for d, _ in expected], atol=1e-9)
+        oracle = brute_force_knn_dense(pts, k)
+        assert np.array_equal(adj != 0, oracle != 0)
+        assert np.allclose(adj, oracle, rtol=0, atol=1e-9)
 
     def test_each_row_has_k_entries(self, rng):
         pts = rng.normal(size=(50, 3))
         adj = meshkit.knn_adjacency(pts, 7)
-        counts = np.bincount(adj.rows, minlength=50)
-        assert (counts == 7).all()
-        assert (adj.weights > 0).all()
+        assert adj.shape == (50, 50)
+        assert (np.count_nonzero(adj, axis=1) == 7).all()
+        assert (adj >= 0).all() and (np.diag(adj) == 0).all()
 
     def test_k_out_of_range(self, rng):
         pts = rng.normal(size=(5, 3))
@@ -68,39 +73,47 @@ class TestKnnAdjacency:
     @pytest.mark.parametrize("k", [1, 6, 10, 20])
     def test_lattice_ties_match_oracle_order(self, k):
         # integer coordinates make the 4x4x4 box lattice's many equal distances
-        # exact ties; rows list neighbours nearest first, ties by lower index
+        # exact ties, which go to the lower index: every row's neighbour set
+        # and weights must be the oracle's exactly
         pts = np.indices((4, 4, 4)).reshape(3, -1).T.astype(np.float64)
         adj = meshkit.knn_adjacency(pts, k)
-        oracle = brute_force_knn(pts, k)
-        assert adj.rows.tolist() == [i for i in range(len(pts)) for _ in range(k)]
-        assert adj.cols.tolist() == [j for i in range(len(pts)) for _, j in oracle[i]]
-        assert adj.weights.tolist() == [d for i in range(len(pts)) for d, _ in oracle[i]]
+        assert np.array_equal(adj, brute_force_knn_dense(pts, k))
 
 
 class TestNormalizeAdjacency:
     def test_uniform_rows(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        adj = meshkit.knn_adjacency(pts, 2)
-        norm = meshkit.normalize_adjacency(adj)
-        dense = norm.to_dense(dtype=np.float64)
+        dense = meshkit.normalize_adjacency(meshkit.knn_adjacency(pts, 2))
+        assert dense.dtype == np.float64
         assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-6)
 
     def test_max_symmetrization(self):
-        raw = meshkit.SparseAdjacency(
-            n=3, rows=np.array([0]), cols=np.array([1]), weights=np.array([2.0])
-        )
-        norm = meshkit.normalize_adjacency(raw)
-        dense = norm.to_dense()
+        raw = np.zeros((3, 3))
+        raw[0, 1] = 2.0
+        dense = meshkit.normalize_adjacency(raw)
         assert dense[0, 1] > 0 and dense[1, 0] > 0
         assert dense[2].sum() == 0  # isolated row stays zero
 
     def test_row_sums_on_random_clouds(self, rng):
         for _ in range(100):
             pts = rng.normal(size=(30, 3))
-            dense = meshkit.normalize_adjacency(meshkit.knn_adjacency(pts, 10)).to_dense(np.float64)
+            dense = meshkit.normalize_adjacency(meshkit.knn_adjacency(pts, 10))
             assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-6)
             # sparsity pattern is symmetric after max-symmetrization
             assert np.array_equal(dense > 0, (dense > 0).T)
+
+    def test_input_unchanged(self, rng):
+        raw = meshkit.knn_adjacency(rng.normal(size=(20, 3)), 4)
+        before = raw.copy()
+        out = meshkit.normalize_adjacency(raw)
+        assert np.array_equal(raw, before)
+        assert not np.shares_memory(out, raw)
+
+    def test_negative_weights_rejected(self):
+        raw = np.zeros((3, 3))
+        raw[0, 1] = -1.0
+        with pytest.raises(ParameterError):
+            meshkit.normalize_adjacency(raw)
 
 
 class TestFarthestPointSample:

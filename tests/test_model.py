@@ -1,13 +1,14 @@
 """Network architecture tests: contracts, identities, equivariance."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hoitg import diffcore as dc
 from hoitg import losses, meshkit, model, scenegen
-from hoitg.errors import ConfigError, DimensionError, ParameterError
+from hoitg.errors import ConfigError, DimensionError, ParameterError, config_from_dict
 
 
 @pytest.fixture()
@@ -32,26 +33,37 @@ class TestEncoderConfig:
 
     def test_default_placement_is_h_o2(self):
         cfg = model.EncoderConfig()
-        assert cfg.variant == "h+o2"
-        assert cfg.human_graph == (True, True, True)
-        assert cfg.object_graph == (False, True, False)
+        assert cfg.graph == "h+o2"
+        assert model.ABLATION_VARIANTS[cfg.graph] == ((True, True, True), (False, True, False))
 
     def test_unknown_placement_rejected(self):
-        with pytest.raises(ConfigError):
-            model.EncoderConfig(human_graph=(True, False, True))
+        # the per-block flags of the old config format are not fields any more
+        with pytest.raises(ConfigError, match="human_graph"):
+            config_from_dict(model.EncoderConfig, {"human_graph": [True, False, True]}, "encoder")
 
     def test_variant_table(self):
         assert set(model.ABLATION_VARIANTS) == {"none", "h", "h+o1", "h+o2", "h+o3", "h+o-all"}
-        for vid, (h, o) in model.ABLATION_VARIANTS.items():
-            assert model.flags_variant(h, o) == vid
+        # every id names a distinct placement
+        assert len(set(model.ABLATION_VARIANTS.values())) == len(model.ABLATION_VARIANTS)
         # object placement rows: exactly one block in h+o1/h+o2/h+o3
         assert model.ABLATION_VARIANTS["h+o1"][1] == (True, False, False)
         assert model.ABLATION_VARIANTS["h+o2"][1] == (False, True, False)
         assert model.ABLATION_VARIANTS["h+o3"][1] == (False, False, True)
 
     def test_unknown_variant_id(self):
-        with pytest.raises(ParameterError):
-            model.variant_flags("h+o4")
+        with pytest.raises(ConfigError, match="'graph'.*h\\+o-all"):
+            model.EncoderConfig(graph="h+o4")
+
+    @pytest.mark.parametrize("graph", list(model.ABLATION_VARIANTS))
+    def test_graph_blocks_follow_placement_table(self, mini_assets, mini_encoder, graph):
+        net = model.HoiReconstructor(mini_assets, replace(mini_encoder, graph=graph), seed=0)
+        for kind, flags in zip(("hum", "obj"), model.ABLATION_VARIANTS[graph]):
+            for b in range(3):
+                for l in range(mini_encoder.layers_per_block):
+                    base = f"block{b}.layer{l}.{kind}"
+                    # a graph block where the table says so, an MLP everywhere else
+                    assert (f"{base}.wg" in net.params) == flags[b], base
+                    assert (f"{base}.fc1.w" in net.params) != flags[b], base
 
     def test_knn_sweep_includes_ten(self):
         assert 10 in model.KNN_SWEEP
@@ -219,8 +231,7 @@ class TestEncoderBlock:
 
     def test_zeroed_mlp_reduces_to_attention_plus_identity(self, mini_assets):
         cfg = model.EncoderConfig(
-            dims=(8, 6, 4), heads=2, feat_channels=8, layers_per_block=1,
-            human_graph=(False, False, False), object_graph=(False, False, False),
+            dims=(8, 6, 4), heads=2, feat_channels=8, layers_per_block=1, graph="none",
         )
         net = model.HoiReconstructor(mini_assets, cfg, seed=2)
         for name, p in net.params.items():

@@ -9,6 +9,7 @@ from hoitg import diffcore as dc
 from hoitg import kernels, meshkit
 from hoitg import scenegen as sg
 from hoitg.errors import ParameterError
+from test_meshkit import brute_force_knn
 
 
 class TestBodyForward:
@@ -314,15 +315,62 @@ def test_human_graph_clusters_match_pairwise_oracle(parts):
     coarse = full[assets.operators.coarse_indices]
     nearest = np.argmin(kernels.pairwise_distances(full, coarse), axis=1)
     assert np.array_equal(assets.operators.nearest_coarse, nearest)
-    # oracle: join the clusters of the two endpoints of every face side
     n = cfg.v0
     dense = np.zeros((n, n))
-    for face in assets.body.faces:
-        for u, v in ((face[0], face[1]), (face[1], face[2]), (face[0], face[2])):
-            if nearest[u] != nearest[v]:
-                dense[nearest[u], nearest[v]] = dense[nearest[v], nearest[u]] = 1.0
+    rows, cols = zip(*cluster_edge_pairs(assets.body.faces, nearest))
+    dense[rows, cols] = 1.0
     dense /= dense.sum(axis=1, keepdims=True)
     assert np.array_equal(assets.human_adjacency, dense.astype(np.float32))
+
+
+def cluster_edge_pairs(faces, nearest):
+    """Oracle: join the clusters of the two endpoints of every face side, both ways."""
+    pairs = set()
+    for face in faces:
+        for u, v in ((face[0], face[1]), (face[1], face[2]), (face[0], face[2])):
+            if nearest[u] != nearest[v]:
+                pairs |= {(nearest[u], nearest[v]), (nearest[v], nearest[u])}
+    return sorted(pairs)
+
+
+def coo_normalized(n, rows, cols, weights):
+    """The graph path graphs once took through COO triples, kept as an oracle.
+
+    Triples scatter into a float64 matrix, which is symmetrized by max with
+    its transpose and row-normalized, read back as triples and scattered into
+    the float32 matrix the model uses.
+    """
+    dense = np.zeros((n, n))
+    dense[np.asarray(rows), np.asarray(cols)] = weights
+    dense = np.maximum(dense, dense.T)
+    sums = dense.sum(axis=1, keepdims=True)
+    nz = sums[:, 0] > 0
+    dense[nz] /= sums[nz]
+    r, c = np.nonzero(dense)
+    out = np.zeros((n, n), dtype=np.float32)
+    out[r, c] = dense[r, c]
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    sg.SceneConfig(),
+    sg.SceneConfig(res=32, v0=16, v1=32, body_parts="mini"),
+    sg.SceneConfig(knn_k=1),
+    sg.SceneConfig(knn_k=63),
+], ids=["default", "mini", "k1", "k63"])
+def test_adjacency_matches_coo_oracle(cfg):
+    assets = sg.build_assets(cfg)
+    pairs = cluster_edge_pairs(assets.body.faces, assets.operators.nearest_coarse)
+    rows, cols = zip(*pairs)
+    want = coo_normalized(cfg.v0, rows, cols, np.ones(len(pairs)))
+    assert assets.human_adjacency.dtype == np.float32
+    assert np.array_equal(assets.human_adjacency, want)
+    for tid, template in assets.objects.items():
+        knn = brute_force_knn(template.mesh.vertices.astype(np.float64), cfg.knn_k)
+        triples = [(i, j, d) for i, picks in knn.items() for d, j in picks]
+        want = coo_normalized(sg.OBJECT_VERTEX_COUNT, *zip(*triples))
+        assert template.adjacency.dtype == np.float32
+        assert np.array_equal(template.adjacency, want), tid
 
 
 def test_build_assets_computes_each_distance_once(monkeypatch, mini_config):
