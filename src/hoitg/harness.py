@@ -228,8 +228,11 @@ def load_checkpoint(path):
     for key in ("train_config", "scene_config"):
         if key not in manifest:
             raise DataError(f"{path}: checkpoint manifest has no {key!r}")
-    cfg = config_from_dict(TrainConfig, manifest["train_config"], "checkpoint config")
-    scene_cfg = config_from_dict(scenegen.SceneConfig, manifest["scene_config"], "checkpoint scene config")
+    try:
+        cfg = config_from_dict(TrainConfig, manifest["train_config"], "checkpoint config")
+        scene_cfg = config_from_dict(scenegen.SceneConfig, manifest["scene_config"], "checkpoint scene config")
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if cfg.knn_k is not None:
         scene_cfg = replace(scene_cfg, knn_k=cfg.knn_k)
     assets = scenegen.build_assets(scene_cfg)

@@ -18,10 +18,10 @@ input tensor is rasterized by splatting projected vertices:
     channel 4  object mask
 
 Dataset layout on disk: ``manifest.json`` plus one binary record per sample,
-little-endian float32 blocks in this fixed order: channels (5*H*W), theta
-(P), beta (S), full human mesh (V2*3), joints (J*3), object rotation (9),
-object axis-angle (3), object translation (3), camera (s, tx, ty), contact
-map (V2, 0/1).
+little-endian float32 blocks in the order of ``RECORD_BLOCKS``, with the float
+counts of ``_record_sizes``. ``sample_scene`` builds that record and
+``load_sample`` reads it back; both hand it to ``_sample_from_record``, so a
+fresh scene equals its loaded record field for field.
 """
 
 from __future__ import annotations
@@ -497,6 +497,52 @@ class SceneSample:
     contact: np.ndarray
     template_id: str
     seed: int
+    record: np.ndarray  # the float32 record the array fields above are split from
+
+
+# The blocks of a scene record, in file order; all but the camera (s, tx, ty)
+# are the SceneSample fields of the same name.
+RECORD_BLOCKS = ("channels", "theta", "beta", "gt_mesh_full", "gt_joints", "gt_rotation",
+                 "gt_axis_angle", "gt_translation", "camera", "contact")
+
+
+def _record_sizes(assets: SceneAssets):
+    """The float count of each block in ``RECORD_BLOCKS``."""
+    cfg, v2 = assets.config, assets.body.num_vertices
+    return [5 * cfg.res * cfg.res, cfg.pose_dim, cfg.shape_dim, v2 * 3, assets.body.num_joints * 3,
+            9, 3, 3, 3, v2]
+
+
+def _sample_from_record(raw: np.ndarray, template_id: str, seed: int, assets: SceneAssets) -> SceneSample:
+    """Split a float32 record into a SceneSample and derive the remaining targets."""
+    res = assets.config.res
+    b = dict(zip(RECORD_BLOCKS, np.split(raw, np.cumsum(_record_sizes(assets))[:-1])))
+    mesh_full = b["gt_mesh_full"].reshape(-1, 3)
+    joints = b["gt_joints"].reshape(-1, 3)
+    rot = b["gt_rotation"].reshape(3, 3)
+    trans = b["gt_translation"]
+    cam = Camera(scale=float(b["camera"][0]), translation=b["camera"][1:])
+    posed = assets.objects[template_id].mesh.vertices.astype(np.float64) @ rot.astype(np.float64).T + trans
+    ops = assets.operators
+    return SceneSample(
+        channels=b["channels"].reshape(5, res, res),
+        theta=b["theta"],
+        beta=b["beta"],
+        gt_mesh_full=mesh_full,
+        gt_mesh_mid=mesh_full[ops.mid_indices],
+        gt_mesh_coarse=mesh_full[ops.coarse_indices],
+        gt_joints=joints,
+        gt_joints_2d=project(joints, cam).astype(np.float32),
+        gt_rotation=rot,
+        gt_axis_angle=b["gt_axis_angle"],
+        gt_translation=trans,
+        gt_object_vertices=posed.astype(np.float32),
+        camera=cam,
+        contact=b["contact"] > 0.5,
+        template_id=template_id,
+        seed=seed,
+        record=raw,
+    )
 
 
 def _random_unit(rng):
@@ -551,26 +597,11 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
     posed = tmpl @ rot.T + trans
     contact = contact_map_gt(mesh64, posed, cfg.contact_threshold)
     channels = render_channels(mesh64, posed, cam, cfg.res, cfg.res)
-
-    ops = assets.operators
-    return SceneSample(
-        channels=channels,
-        theta=theta,
-        beta=beta,
-        gt_mesh_full=mesh_full.astype(np.float32),
-        gt_mesh_mid=mesh_full[ops.mid_indices].astype(np.float32),
-        gt_mesh_coarse=mesh_full[ops.coarse_indices].astype(np.float32),
-        gt_joints=joints.astype(np.float32),
-        gt_joints_2d=project(joints, cam).astype(np.float32),
-        gt_rotation=rot.astype(np.float32),
-        gt_axis_angle=aa.astype(np.float32),
-        gt_translation=np.asarray(trans, dtype=np.float32),
-        gt_object_vertices=posed.astype(np.float32),
-        camera=cam,
-        contact=contact,
-        template_id=template_id,
-        seed=seed,
-    )
+    blocks = {"channels": channels, "theta": theta, "beta": beta, "gt_mesh_full": mesh_full,
+              "gt_joints": joints, "gt_rotation": rot, "gt_axis_angle": aa, "gt_translation": trans,
+              "camera": [cam.scale, *cam.translation], "contact": contact}
+    record = np.concatenate([np.ravel(blocks[name]) for name in RECORD_BLOCKS], dtype="<f4")
+    return _sample_from_record(record, template_id, seed, assets)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +609,7 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
+DATASET_FORMAT = "hoitg-dataset-v1"
 
 
 def _record_name(i):
@@ -596,7 +628,7 @@ def generate_dataset(out_dir, num: int, seed: int, config: SceneConfig, assets: 
     sample_templates = [templates[i % len(templates)] for i in range(num)]
     sample_seeds = [mix_seed(seed, i) for i in range(num)]
     manifest = {
-        "format": "hoitg-dataset-v1",
+        "format": DATASET_FORMAT,
         "num": num,
         "seed": seed,
         "sample_templates": sample_templates,
@@ -611,21 +643,7 @@ def generate_dataset(out_dir, num: int, seed: int, config: SceneConfig, assets: 
             contact_scenes += 1
             if _masks_touch(sample.channels[3], sample.channels[4]):
                 masks_consistent += 1
-        blocks = [
-            sample.channels,
-            sample.theta,
-            sample.beta,
-            sample.gt_mesh_full,
-            sample.gt_joints,
-            sample.gt_rotation,
-            sample.gt_axis_angle,
-            sample.gt_translation,
-            np.array([sample.camera.scale, *sample.camera.translation], dtype=np.float32),
-            sample.contact.astype(np.float32),
-        ]
-        with open(os.path.join(out_dir, _record_name(i)), "wb") as fh:
-            for b in blocks:
-                fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+        sample.record.tofile(os.path.join(out_dir, _record_name(i)))
     # sanity statistic, recorded rather than enforced: scenes with contact
     # should nearly always show touching or adjacent human/object masks
     manifest["contact_mask_consistency"] = (
@@ -646,7 +664,8 @@ def _masks_touch(human_mask, object_mask):
     return bool((dil * object_mask).any())
 
 
-def load_manifest(data_dir):
+def _read_manifest(data_dir):
+    """Read and check ``manifest.json``; returns (manifest, scene config)."""
     path = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise DataError(f"no {MANIFEST_NAME} in {data_dir}")
@@ -657,50 +676,58 @@ def load_manifest(data_dir):
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{path} must hold a JSON object, got {type(manifest).__name__}")
-    return manifest
+
+    def need(ok, field, rule, got):
+        if not ok:
+            raise DataError(f"{path}: field {field!r} must be {rule}, got {got!r}")
+
+    need(manifest.get("format") == DATASET_FORMAT, "format", repr(DATASET_FORMAT), manifest.get("format"))
+    num = manifest.get("num")
+    need(type(num) is int and num >= 0, "num", "a non-negative int", num)
+    for field in ("sample_templates", "sample_seeds"):
+        entries = manifest.get(field)
+        need(isinstance(entries, list) and len(entries) == num, field, f"a list of {num} entries",
+             len(entries) if isinstance(entries, list) else entries)
+    try:
+        config = config_from_dict(SceneConfig, manifest.get("config"), "scene config")
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    bad = [t for t in manifest["sample_templates"] if t not in config.templates]
+    need(not bad, "sample_templates", f"ids from {list(config.templates)}", bad[:1])
+    bad = [x for x in manifest["sample_seeds"] if type(x) is not int or not 0 <= x <= MASK64]
+    need(not bad, "sample_seeds", "seeds in [0, 2**64)", bad[:1])
+    return manifest, config
+
+
+def load_manifest(data_dir):
+    """The checked ``manifest.json`` of a dataset directory."""
+    return _read_manifest(data_dir)[0]
+
+
+def _block_at(sizes, index):
+    """The name of the record block holding float ``index``."""
+    return RECORD_BLOCKS[int(np.searchsorted(np.cumsum(sizes), index, side="right"))]
 
 
 def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> SceneSample:
-    cfg = assets.config
+    """Read record ``index``, check its size and its floats, and split it into a SceneSample."""
     path = os.path.join(data_dir, _record_name(index))
     if not os.path.exists(path):
         raise DataError(f"missing record {path}")
+    sizes = _record_sizes(assets)
+    size, want = os.path.getsize(path), 4 * sum(sizes)
+    if size != want:
+        where = f"cut short in block {_block_at(sizes, size // 4)!r}" if size < want else "too long"
+        raise DataError(f"record {path}: expected {want} bytes, got {size}: {where}")
     raw = np.fromfile(path, dtype="<f4")
-    v2 = assets.body.num_vertices
-    j = assets.body.num_joints
-    sizes = [5 * cfg.res * cfg.res, cfg.pose_dim, cfg.shape_dim, v2 * 3, j * 3, 9, 3, 3, 3, v2]
-    if raw.size != sum(sizes):
-        raise DataError(f"record {path}: expected {sum(sizes)} floats, got {raw.size}")
-    parts = np.split(raw, np.cumsum(sizes)[:-1])
-    channels = parts[0].reshape(5, cfg.res, cfg.res)
-    theta, beta = parts[1], parts[2]
-    mesh_full = parts[3].reshape(v2, 3)
-    joints = parts[4].reshape(j, 3)
-    rot = parts[5].reshape(3, 3)
-    aa, trans = parts[6], parts[7]
-    cam = Camera(scale=float(parts[8][0]), translation=parts[8][1:3])
-    contact = parts[9] > 0.5
-    tid = manifest["sample_templates"][index]
-    posed = assets.objects[tid].mesh.vertices.astype(np.float64) @ rot.astype(np.float64).T + trans
-    ops = assets.operators
-    return SceneSample(
-        channels=channels,
-        theta=theta,
-        beta=beta,
-        gt_mesh_full=mesh_full,
-        gt_mesh_mid=mesh_full[ops.mid_indices].astype(np.float32),
-        gt_mesh_coarse=mesh_full[ops.coarse_indices].astype(np.float32),
-        gt_joints=joints,
-        gt_joints_2d=project(joints, cam).astype(np.float32),
-        gt_rotation=rot,
-        gt_axis_angle=aa,
-        gt_translation=trans,
-        gt_object_vertices=posed.astype(np.float32),
-        camera=cam,
-        contact=contact,
-        template_id=tid,
-        seed=int(manifest["sample_seeds"][index]),
-    )
+    finite = np.isfinite(raw)
+    if not finite.all():
+        raise DataError(f"record {path}: non-finite value in block {_block_at(sizes, np.argmin(finite))!r}")
+    try:
+        return _sample_from_record(raw, manifest["sample_templates"][index], manifest["sample_seeds"][index],
+                                   assets)
+    except ParameterError as exc:
+        raise DataError(f"record {path}: {exc}") from exc
 
 
 def load_dataset(data_dir, knn_k: int | None = None):
@@ -708,11 +735,7 @@ def load_dataset(data_dir, knn_k: int | None = None):
 
     ``knn_k``, when given, overrides the object graph's neighbour count.
     """
-    manifest = load_manifest(data_dir)
-    try:
-        config = config_from_dict(SceneConfig, manifest.get("config"), "scene config")
-    except ConfigError as exc:
-        raise DataError(f"{os.path.join(data_dir, MANIFEST_NAME)}: {exc}") from exc
+    manifest, config = _read_manifest(data_dir)
     if knn_k is not None:
         config = replace(config, knn_k=knn_k)
     assets = build_assets(config)

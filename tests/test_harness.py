@@ -28,6 +28,17 @@ def mini_checkpoint(mini_dataset, tmp_path_factory):
     return path
 
 
+def rewrite_checkpoint_manifest(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON manifest; returns ``dst``."""
+    data = src.read_bytes()
+    (mlen,) = struct.unpack("<I", data[:4])
+    manifest = json.loads(data[4 : 4 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode("utf-8")
+    dst.write_bytes(struct.pack("<I", len(mbytes)) + mbytes + data[4 + mlen :])
+    return dst
+
+
 def tiny_train_config(data_dir, ckpt_path, **kw):
     defaults = dict(
         epochs=2,
@@ -508,17 +519,24 @@ class TestCli:
     @pytest.mark.parametrize("key, code", [("params", 3), ("kind", 2), ("train_config", 3), ("scene_config", 3)])
     def test_exit_code_checkpoint_manifest_missing_key(self, mini_dataset, mini_checkpoint, tmp_path, capsys,
                                                        key, code):
-        data = mini_checkpoint.read_bytes()
-        (mlen,) = struct.unpack("<I", data[:4])
-        manifest = json.loads(data[4 : 4 + mlen])
-        del manifest[key]
-        mbytes = json.dumps(manifest).encode("utf-8")
-        ckpt = tmp_path / "nokey.ckpt"
-        ckpt.write_bytes(struct.pack("<I", len(mbytes)) + mbytes + data[4 + mlen :])
+        ckpt = rewrite_checkpoint_manifest(mini_checkpoint, tmp_path / "nokey.ckpt", lambda m: m.pop(key))
         rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", str(ckpt), "--report", str(tmp_path / "rep.json")])
         assert rc == code
         err = capsys.readouterr().err
         assert str(ckpt) in err and repr(key) in err
+
+    @pytest.mark.parametrize("key, bad, field", [
+        ("train_config", {"epochs": "x"}, "epochs"),
+        ("scene_config", {"res": 0}, "res"),
+        ("scene_config", {"bogus": 1}, "bogus"),
+    ], ids=["epochs-str", "scene-res-0", "scene-unknown"])
+    def test_exit_code_checkpoint_malformed_config(self, mini_dataset, mini_checkpoint, tmp_path, capsys,
+                                                   key, bad, field):
+        ckpt = rewrite_checkpoint_manifest(mini_checkpoint, tmp_path / "badcfg.ckpt", lambda m: m[key].update(bad))
+        rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", str(ckpt), "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and field in err
 
     def test_exit_code_checkpoint_manifest_not_json(self, mini_dataset, mini_checkpoint, tmp_path, capsys):
         data = bytearray(mini_checkpoint.read_bytes())
@@ -530,16 +548,137 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "manifest" in err
 
-    @pytest.mark.parametrize("cut", ["half", "list"])
+    # each case edits the manifest dict; "half" and "list" replace the file
+    MANIFEST_FAULTS = {
+        "half": (None, "manifest.json"),
+        "list": (None, "manifest.json"),
+        "format-missing": (lambda m: m.pop("format"), "'format'"),
+        "format-other": (lambda m: m.update(format="hoitg-dataset-v0"), "'format'"),
+        "num-missing": (lambda m: m.pop("num"), "'num'"),
+        "num-str": (lambda m: m.update(num="6"), "'num'"),
+        "num-neg": (lambda m: m.update(num=-1), "'num'"),
+        "num-bool": (lambda m: m.update(num=True), "'num'"),
+        "num-long": (lambda m: m.update(num=m["num"] + 1), "'sample_templates'"),
+        "templates-missing": (lambda m: m.pop("sample_templates"), "'sample_templates'"),
+        "templates-short": (lambda m: m["sample_templates"].pop(), "'sample_templates'"),
+        "templates-unknown": (lambda m: m["sample_templates"].__setitem__(1, "sofa"), "'sample_templates'"),
+        "templates-list": (lambda m: m["sample_templates"].__setitem__(1, ["box"]), "'sample_templates'"),
+        "seeds-missing": (lambda m: m.pop("sample_seeds"), "'sample_seeds'"),
+        "seeds-dict": (lambda m: m.update(sample_seeds={}), "'sample_seeds'"),
+        "seeds-short": (lambda m: m["sample_seeds"].pop(), "'sample_seeds'"),
+        "seeds-str": (lambda m: m["sample_seeds"].__setitem__(0, "7"), "'sample_seeds'"),
+        "seeds-neg": (lambda m: m["sample_seeds"].__setitem__(0, -7), "'sample_seeds'"),
+        "seeds-float": (lambda m: m["sample_seeds"].__setitem__(0, 7.0), "'sample_seeds'"),
+        "seeds-2**64": (lambda m: m["sample_seeds"].__setitem__(0, 2**64), "'sample_seeds'"),
+    }
+
+    @pytest.mark.parametrize("cut", list(MANIFEST_FAULTS))
     def test_exit_code_malformed_dataset_manifest(self, mini_dataset, mini_checkpoint, tmp_path, capsys, cut):
         data = tmp_path / "ds"
         shutil.copytree(mini_dataset, data)
         text = (data / "manifest.json").read_bytes()
-        (data / "manifest.json").write_bytes(text[: len(text) // 2] if cut == "half" else b"[1, 2]")
+        edit, field = self.MANIFEST_FAULTS[cut]
+        if edit is None:
+            (data / "manifest.json").write_bytes(text[: len(text) // 2] if cut == "half" else b"[1, 2]")
+        else:
+            manifest = json.loads(text)
+            edit(manifest)
+            (data / "manifest.json").write_text(json.dumps(manifest))
         rc = cli.main(["eval", "--data", str(data), "--ckpt", str(mini_checkpoint),
                        "--report", str(tmp_path / "rep.json")])
         assert rc == 3
-        assert "manifest.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and field in err
+
+    def _write_record(self, mini_dataset, tmp_path, edit):
+        """A copy of the mini dataset whose first record is ``edit(floats)``; returns (dir, record path)."""
+        data = tmp_path / "ds"
+        shutil.copytree(mini_dataset, data)
+        path = data / "sample_00000.bin"
+        edit(np.fromfile(path, dtype="<f4")).tofile(path)
+        return str(data), str(path)
+
+    @pytest.mark.parametrize("block", range(len(scenegen.RECORD_BLOCKS)))
+    def test_exit_code_truncated_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, block):
+        _, assets, _ = scenegen.load_dataset(mini_dataset)
+        start = sum(scenegen._record_sizes(assets)[:block])
+        data, path = self._write_record(mini_dataset, tmp_path, lambda raw: raw[:start])
+        rc = cli.main(["eval", "--data", data, "--ckpt", str(mini_checkpoint),
+                       "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert path in err and repr(scenegen.RECORD_BLOCKS[block]) in err
+
+    def test_exit_code_overlong_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys):
+        data, path = self._write_record(mini_dataset, tmp_path, lambda raw: np.append(raw, np.float32(0)))
+        rc = cli.main(["eval", "--data", data, "--ckpt", str(mini_checkpoint),
+                       "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_exit_code_non_finite_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, value):
+        _, assets, _ = scenegen.load_dataset(mini_dataset)
+        sizes = scenegen._record_sizes(assets)
+        for block, name in enumerate(scenegen.RECORD_BLOCKS):
+            at = sum(sizes[:block]) + sizes[block] // 2
+
+            def poison(raw):
+                raw[at] = value
+                return raw
+
+            data, path = self._write_record(mini_dataset, tmp_path / name, poison)
+            for argv in (["eval", "--data", data, "--ckpt", str(mini_checkpoint),
+                          "--report", str(tmp_path / "rep.json")],
+                         ["train", "--data", data, "--out", str(tmp_path / "x.ckpt")]):
+                assert cli.main(argv) == 3, (name, argv[0])
+                err = capsys.readouterr().err
+                assert path in err and repr(name) in err, (name, argv[0], err)
+
+    @pytest.mark.parametrize("value", [-0.6, 0.0], ids=["neg", "zero"])
+    def test_exit_code_record_camera_scale(self, mini_dataset, mini_checkpoint, tmp_path, capsys, value):
+        _, assets, _ = scenegen.load_dataset(mini_dataset)
+        at = sum(scenegen._record_sizes(assets)[:scenegen.RECORD_BLOCKS.index("camera")])
+
+        def edit(raw):
+            raw[at] = value
+            return raw
+
+        data, path = self._write_record(mini_dataset, tmp_path, edit)
+        rc = cli.main(["eval", "--data", data, "--ckpt", str(mini_checkpoint),
+                       "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert path in err and "camera scale" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["manifest.json", "sample_00000.bin"])
+    def test_fuzz_byte_flips(self, mini_dataset, mini_checkpoint, tmp_path, capsys, name):
+        """64 seeded one-bit flips of a file: eval exits 0, 2, 3 or 4 and never raises.
+
+        Record flips cycle through the blocks of ``RECORD_BLOCKS``, so every
+        block is hit; manifest flips land anywhere in the file.
+        """
+        _, assets, _ = scenegen.load_dataset(mini_dataset)
+        sizes = scenegen._record_sizes(assets)
+        with open(os.path.join(mini_dataset, name), "rb") as fh:
+            original = fh.read()
+        data = tmp_path / "ds"
+        shutil.copytree(mini_dataset, data)
+        rng = np.random.default_rng(2024)
+        for k in range(64):
+            flipped = bytearray(original)
+            if name == "manifest.json":
+                pos = int(rng.integers(len(flipped)))
+            else:
+                block = k % len(sizes)
+                pos = 4 * sum(sizes[:block]) + int(rng.integers(4 * sizes[block]))
+            flipped[pos] ^= 1 << int(rng.integers(8))
+            (data / name).write_bytes(bytes(flipped))
+            rc = cli.main(["eval", "--data", str(data), "--ckpt", str(mini_checkpoint),
+                           "--report", str(tmp_path / "rep.json")])
+            assert rc in (0, 2, 3, 4), (k, pos)
+            capsys.readouterr()
 
     def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path):
         cfg = tiny_train_config(mini_dataset, tmp_path / "v.ckpt")

@@ -1,5 +1,6 @@
 """Scene generator tests: body model, placement policy, rendering, datasets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -216,10 +217,32 @@ class TestDataset:
         for i in range(4):
             direct = sg.sample_scene(manifest["sample_seeds"][i], manifest["sample_templates"][i], mini_assets)
             from_disk = loader(i)
-            assert np.array_equal(direct.channels, from_disk.channels)
-            assert np.array_equal(direct.gt_mesh_full, from_disk.gt_mesh_full)
-            assert np.array_equal(direct.contact, from_disk.contact)
-            assert np.allclose(direct.gt_rotation, from_disk.gt_rotation, atol=1e-7)
+            for field in dataclasses.fields(sg.SceneSample):
+                a, b = getattr(direct, field.name), getattr(from_disk, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (i, field.name)
+                elif field.name != "camera":
+                    assert type(a) is type(b) and a == b, (i, field.name)
+            assert type(direct.camera.scale) is type(from_disk.camera.scale)
+            assert direct.camera.scale == from_disk.camera.scale
+            assert direct.camera.translation.dtype == from_disk.camera.translation.dtype
+            assert np.array_equal(direct.camera.translation, from_disk.camera.translation)
+            assert (out / f"sample_{i:05d}.bin").read_bytes() == direct.record.tobytes()
+
+    def test_record_layout(self, mini_assets):
+        sample = sg.sample_scene(sg.mix_seed(6, 0), "chair", mini_assets)
+        sizes = sg._record_sizes(mini_assets)
+        assert len(sizes) == len(sg.RECORD_BLOCKS)
+        assert sample.record.dtype == np.dtype("<f4") and sample.record.size == sum(sizes)
+        blocks = dict(zip(sg.RECORD_BLOCKS, np.split(sample.record, np.cumsum(sizes)[:-1])))
+        for name, block in blocks.items():
+            if name == "camera":
+                assert np.array_equal(block, np.float32([sample.camera.scale, *sample.camera.translation]))
+            else:
+                assert np.array_equal(block, getattr(sample, name).ravel()), name
+        # the split-out fields are views of the record, not copies
+        for name in ("channels", "theta", "beta", "gt_mesh_full", "gt_joints", "gt_rotation"):
+            assert np.shares_memory(getattr(sample, name), sample.record), name
 
     def test_regeneration_bit_identical(self, tmp_path, mini_config, mini_assets):
         out1 = tmp_path / "a"
