@@ -2,9 +2,10 @@
 
 A ``Tensor`` wraps an ndarray plus a gradient buffer and remembers how it was
 produced. Calling :func:`backward` on a scalar loss walks the graph once in
-reverse topological order and accumulates exact gradients into every reachable
-node. Gradients add up across repeated backward calls; clear them explicitly
-with :func:`zero_grads` between optimizer steps.
+reverse topological order, accumulates exact gradients into the leaves and
+releases the tape as it goes. Leaf gradients add up across backward calls on
+separate graphs that share leaves; clear them explicitly with
+:func:`zero_grads` between optimizer steps.
 
 Training arithmetic is float32. The finite-difference oracle
 (:func:`gradcheck`) re-runs the same graph in float64; every op keeps the
@@ -65,9 +66,10 @@ def tensor(data, dtype=None):
 
 
 def _accum(t: Tensor, g):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # zeros + g in one pass: the same cast, and -0 becomes +0
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str):
@@ -191,10 +193,12 @@ def softplus(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact GeLU x * Phi(x) with Phi the standard normal CDF."""
-    def bwd(g):
-        _accum(a, g * kernels.gelu_grad(a.data))
+    out, phi = kernels.gelu_forward(a.data)
 
-    return Tensor(kernels.gelu_forward(a.data), (a,), bwd)
+    def bwd(g):
+        _accum(a, g * kernels.gelu_grad(a.data, phi))
+
+    return Tensor(out, (a,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -538,17 +542,23 @@ def _topo_order(root: Tensor):
 
 
 def backward(loss: Tensor):
-    """Populate gradients of every node reachable from a scalar loss.
+    """Accumulate the gradients of a scalar loss into the leaves it reaches.
 
-    Repeated calls accumulate; call :func:`zero_grads` between steps.
+    Each interior node drops its closure, with the buffers it saved, and its
+    gradient once it has passed the gradient on, so a graph is differentiated
+    once. Calls on separate graphs that share leaves accumulate; call
+    :func:`zero_grads` between steps.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     order = _topo_order(loss)
+    if any(node._bwd is None and node._parents for node in order):
+        raise GraphError("backward: the graph was released by an earlier backward pass")
     _accum(loss, np.ones_like(loss.data))
     for node in reversed(order):
         if node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
+            node._bwd = node.grad = None
 
 
 def zero_grads(params):

@@ -136,30 +136,26 @@ def train(cfg: TrainConfig, sample_indices=None, quiet=False) -> TrainResult:
             batch = next_batch()
             dc.zero_grads(net.params)
             term_sums = {name: 0.0 for name in losses.TERM_NAMES}
-            batch_tensors = []
-            try:
-                for i in batch:
-                    s = samples[i]
+            loss_sum = None
+            # one sample's tape at a time: backward releases it, and the parameter
+            # gradients add up in the order one backward of the batch loss sums them
+            for i in batch:
+                s = samples[i]
+                try:
                     rec = net.forward(s.channels, s.template_id)
                     tot, report = losses.scene_loss(rec, s, assets, cfg.weights)
-                    for name, val in report.terms.items():
-                        term_sums[name] += val
-                    batch_tensors.append(tot)
-            except (DegeneracyError, np.linalg.LinAlgError) as exc:
-                raise NumericAbort(
-                    f"forward pass degenerated at step {step} (batch {batch}): {exc}",
-                    step=step,
-                    batch_indices=batch,
-                ) from exc
-            batch_total = dc.scale(_sum_tensors(batch_tensors), 1.0 / len(batch_tensors))
-            total_val = float(batch_total.data.reshape(()))
-            if not np.isfinite(total_val):
-                raise NumericAbort(
-                    f"non-finite loss {total_val} at step {step} (batch {batch})",
-                    step=step,
-                    batch_indices=batch,
-                )
-            dc.backward(batch_total)
+                except (DegeneracyError, np.linalg.LinAlgError) as exc:
+                    raise NumericAbort(f"forward pass degenerated at step {step} (batch {batch}): {exc}",
+                                       step=step, batch_indices=batch) from exc
+                loss_sum = tot.data if loss_sum is None else loss_sum + tot.data
+                if not np.isfinite(loss_sum).all():
+                    raise NumericAbort(f"non-finite loss sum {float(loss_sum.reshape(()))} after sample {i} "
+                                       f"at step {step} (batch {batch})", step=step, batch_indices=batch)
+                for name, val in report.terms.items():
+                    term_sums[name] += val
+                dc.backward(dc.scale(tot, 1.0 / len(batch)))
+                del rec, tot
+            total_val = float((loss_sum * (1.0 / len(batch))).reshape(()))
             dc.adam_step(net.params, state)
             term_means = {k: v / len(batch) for k, v in term_sums.items()}
             rows.append([step, state.lr] + [term_means[k] for k in losses.TERM_NAMES] + [total_val])
@@ -186,13 +182,6 @@ def train(cfg: TrainConfig, sample_indices=None, quiet=False) -> TrainResult:
         final_loss=final_loss,
         snapshot=snapshot,
     )
-
-
-def _sum_tensors(tensors):
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = dc.add(acc, t)
-    return acc
 
 
 def _snapshot(net, samples, last_totals):

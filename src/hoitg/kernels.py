@@ -78,12 +78,12 @@ def fps(points, m, start):
 
 
 def gelu_forward(x):
+    """GeLU ``x * Phi(x)`` and ``Phi(x)``, which :func:`gelu_grad` takes back."""
     phi = 0.5 * (1.0 + _scipy_erf(x * _SQRT1_2))
-    return x * phi
+    return x * phi, phi
 
 
-def gelu_grad(x):
-    phi = 0.5 * (1.0 + _scipy_erf(x * _SQRT1_2))
+def gelu_grad(x, phi):
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return phi + x * pdf
 

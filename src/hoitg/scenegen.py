@@ -710,7 +710,7 @@ def _block_at(sizes, index):
 
 
 def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> SceneSample:
-    """Read record ``index``, check its size and its floats, and split it into a SceneSample."""
+    """Read record ``index``, check its size, floats, rotation, flags and masks, and split it into a SceneSample."""
     path = os.path.join(data_dir, _record_name(index))
     if not os.path.exists(path):
         raise DataError(f"missing record {path}")
@@ -723,6 +723,14 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
     finite = np.isfinite(raw)
     if not finite.all():
         raise DataError(f"record {path}: non-finite value in block {_block_at(sizes, np.argmin(finite))!r}")
+    b = dict(zip(RECORD_BLOCKS, np.split(raw, np.cumsum(sizes)[:-1])))
+    rot = b["gt_rotation"].reshape(3, 3).astype(np.float64)  # float64 squares of float32 cannot overflow
+    if not (np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-4 and abs(np.linalg.det(rot) - 1.0) <= 1e-4):
+        raise DataError(f"record {path}: block 'gt_rotation' is not a rotation (orthonormal, det +1)")
+    for name, flags, what in (("contact", b["contact"], "contact flag"),
+                              ("channels", b["channels"].reshape(5, -1)[3:], "mask value (channels 3-4)")):
+        if not np.isin(flags, (0.0, 1.0)).all():
+            raise DataError(f"record {path}: block {name!r} holds a {what} that is not 0 or 1")
     try:
         return _sample_from_record(raw, manifest["sample_templates"][index], manifest["sample_seeds"][index],
                                    assets)

@@ -198,6 +198,34 @@ class TestBackward:
         dc.backward(dc.sum_all(p))
         assert np.allclose(p.grad, [1.0])
 
+    def test_tape_is_released_and_leaves_keep_gradients(self, rng):
+        a, b = dc.tensor(rng.normal(size=(3, 4))), dc.tensor(rng.normal(size=(4, 2)))
+        prod = dc.matmul(a, b)
+        act = dc.gelu(prod)
+        loss = dc.sum_all(act)
+        dc.backward(loss)
+        for node in (prod, act, loss):
+            assert node.grad is None and node._bwd is None
+            assert node._parents  # the graph's structure stays for tape walks
+        assert a.grad.shape == (3, 4) and b.grad.shape == (4, 2)
+
+    def test_second_backward_on_a_released_graph_raises(self):
+        p = dc.tensor(np.array([2.0]))
+        sq = dc.mul(p, p)
+        loss = dc.sum_all(sq)
+        dc.backward(loss)
+        with pytest.raises(GraphError, match="released"):
+            dc.backward(loss)
+        with pytest.raises(GraphError, match="released"):
+            dc.backward(dc.sum_all(sq))  # a new graph over a released node
+        assert np.array_equal(p.grad, [4.0])
+
+    def test_first_gradient_write_turns_negative_zero_positive(self):
+        p = dc.tensor(np.array([1.0, 2.0], dtype=F32))
+        dc.backward(dc.scale(dc.sum_all(p), -0.0))
+        assert p.grad.dtype == F32 and np.array_equal(p.grad, [0.0, 0.0])
+        assert not np.signbit(p.grad).any()
+
     def test_deterministic_within_process(self, rng):
         a = rng.normal(size=(6, 6))
         b = rng.normal(size=(6, 6))

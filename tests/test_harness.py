@@ -5,11 +5,13 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hoitg import cli, harness, losses, model, scenegen
+from hoitg import diffcore as dc
 from hoitg.errors import ConfigError, NumericAbort, ParameterError, config_from_dict, config_to_dict
 
 
@@ -130,6 +132,52 @@ class TestTrainLoop:
         assert (tmp_path / "a.ckpt").read_bytes() == ckpt1
         assert (tmp_path / "a.ckpt.loss.csv").read_bytes() == log1
         assert r1.final_loss == r2.final_loss
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4])
+    def test_per_sample_backward_equals_a_joint_backward(self, mini_dataset, tmp_path, monkeypatch, batch_size):
+        """The first step's gradients and logged total are bit-equal to one backward of the batch-mean loss."""
+        cfg = tiny_train_config(mini_dataset, tmp_path / "j.ckpt", epochs=1, steps_per_epoch=1,
+                                batch_size=batch_size)
+        grads = {}
+        adam_step = dc.adam_step
+
+        def spy_adam(params, state):
+            grads.update({name: p.grad.copy() for name, p in params.items()})
+            adam_step(params, state)
+
+        monkeypatch.setattr(dc, "adam_step", spy_adam)
+        result = harness.train(cfg, quiet=True)
+
+        manifest, assets, loader = scenegen.load_dataset(mini_dataset)
+        # the first batch of the seeded sampler, in batch order
+        rng = np.random.default_rng(np.random.PCG64(scenegen.mix_seed(cfg.seed, 0xB47C)))
+        batch = rng.permutation(manifest["num"])[:batch_size]
+        net = model.HoiReconstructor(assets, cfg.encoder, seed=cfg.seed)
+        joint = None
+        for i in batch:
+            s = loader(int(i))
+            tot, _ = losses.scene_loss(net.forward(s.channels, s.template_id), s, assets, cfg.weights)
+            joint = tot if joint is None else dc.add(joint, tot)
+        joint = dc.scale(joint, 1.0 / batch_size)
+        dc.backward(joint)
+        assert result.first_loss == float(joint.data.reshape(()))
+        assert list(grads) == list(net.params)
+        for name, p in net.params.items():
+            assert np.array_equal(grads[name], p.grad), name
+
+    def test_train_peak_memory_does_not_scale_with_the_batch(self, mini_dataset, tmp_path):
+        """Only one sample's tape is alive at a time, so batch 8 peaks near batch 1."""
+        peaks = []
+        for batch_size in (1, 8):
+            cfg = tiny_train_config(mini_dataset, tmp_path / f"m{batch_size}.ckpt", epochs=1, steps_per_epoch=2,
+                                    batch_size=batch_size)
+            tracemalloc.start()
+            try:
+                harness.train(cfg, quiet=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_loss_log_shape_and_total_column(self, mini_dataset, tmp_path):
         cfg = tiny_train_config(mini_dataset, tmp_path / "c.ckpt", epochs=3, steps_per_epoch=2)
@@ -650,6 +698,38 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err
         assert path in err and "camera scale" in err
+
+    @pytest.mark.parametrize("block, edit", [
+        ("gt_rotation", lambda b, res: np.put(b, 0, 3e38)),
+        ("gt_rotation", lambda b, res: np.put(b, range(3), 1.01 * b[:3])),  # a stretched row
+        ("gt_rotation", lambda b, res: np.put(b, range(3), -b[:3])),  # a reflection, det -1
+        ("contact", lambda b, res: np.put(b, 0, 0.5)),
+        ("contact", lambda b, res: np.put(b, -1, 2.0)),
+        ("channels", lambda b, res: np.put(b, 3 * res * res + 5, 0.5)),  # human mask
+        ("channels", lambda b, res: np.put(b, 4 * res * res + 7, -1.0)),  # object mask
+    ], ids=["rot-huge", "rot-stretched", "rot-reflection", "contact-half", "contact-two", "mask3", "mask4"])
+    def test_exit_code_impossible_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, block, edit):
+        _, assets, _ = scenegen.load_dataset(mini_dataset)
+        sizes = scenegen._record_sizes(assets)
+        start = sum(sizes[:scenegen.RECORD_BLOCKS.index(block)])
+
+        def poison(raw):
+            edit(raw[start:], assets.config.res)
+            return raw
+
+        data, path = self._write_record(mini_dataset, tmp_path, poison)
+        rc = cli.main(["eval", "--data", data, "--ckpt", str(mini_checkpoint),
+                       "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert path in err and repr(block) in err
+
+    def test_fresh_gen_dataset_passes_the_record_checks(self, tmp_path):
+        out = str(tmp_path / "fresh")
+        assert cli.main(["gen", "--out", out, "--num", "4", "--seed", "17", "--res", "32"]) == 0
+        manifest, _, loader = scenegen.load_dataset(out)
+        for i in range(manifest["num"]):
+            loader(i)  # raises DataError on a record the checks reject
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", ["manifest.json", "sample_00000.bin"])

@@ -100,14 +100,17 @@ def test_fps_distances_match_pairwise(rng):
 def test_gelu_matches_reference():
     xs = np.array([-6.0, -3.0, -1.0, -0.1, 0.0, 0.5, 1.0, 4.0, 9.0])
     expected = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs])
-    assert np.allclose(kernels.gelu_forward(xs), expected, atol=1e-12)
+    out, phi = kernels.gelu_forward(xs)
+    assert np.allclose(out, expected, atol=1e-12)
+    assert np.allclose(phi, [0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs], atol=1e-12)
     grad = np.array([
         0.5 * (1 + math.erf(x / math.sqrt(2))) + x * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
         for x in xs
     ])
-    assert np.allclose(kernels.gelu_grad(xs), grad, atol=1e-12)
+    assert np.allclose(kernels.gelu_grad(xs, phi), grad, atol=1e-12)
     x2 = np.linspace(-3, 3, 12).reshape(3, 4)
-    assert kernels.gelu_forward(x2).shape == kernels.gelu_grad(x2).shape == (3, 4)
+    out2, phi2 = kernels.gelu_forward(x2)
+    assert out2.shape == phi2.shape == kernels.gelu_grad(x2, phi2).shape == (3, 4)
 
 
 def _bilinear_corners(h, w, u, v):
