@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: gen, train, eval, ablate, viz-attn. Exit codes: 0 ok,
-2 configuration error, 3 data error, 4 numeric abort (a non-finite
-training loss or a degenerate forward pass).
+2 configuration error, 3 data error (also a path that cannot be read or
+written), 4 numeric abort (a non-finite training loss or a degenerate
+forward pass).
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # an unreadable or unwritable path; the message names it
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericAbort as exc:

@@ -7,6 +7,12 @@ releases the tape as it goes. Leaf gradients add up across backward calls on
 separate graphs that share leaves; clear them explicitly with
 :func:`zero_grads` between optimizer steps.
 
+Inside a :class:`no_grad` block every op computes the same output but
+records no tape: the result has no parents and no backward closure, so the
+buffers an op saved for its backward are freed as soon as it returns.
+Forward-only passes (evaluation, attention export, the finite-difference
+re-evaluations of :func:`gradcheck`) run under it.
+
 Training arithmetic is float32. The finite-difference oracle
 (:func:`gradcheck`) re-runs the same graph in float64; every op keeps the
 dtype of its inputs, so both modes share one code path.
@@ -31,6 +37,29 @@ from . import kernels
 from .errors import DataError, DimensionError, GraphError
 
 _uid_counter = itertools.count()
+_grad_enabled = True
+
+
+class no_grad:
+    """Context in which ops record no tape, as ``torch.no_grad``.
+
+    Outputs built inside the block have no parents and no backward closure,
+    so nothing is differentiated through them and nothing an op saved for
+    its backward outlives the op. The previous mode is restored on exit,
+    also after an exception, so blocks nest. It is a class, not a function:
+    the benchmark's tracer wraps every public function of this module as a
+    graph op and reads ``_bwd`` from what it returns.
+    """
+
+    def __enter__(self):
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
+        return self
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._prev
 
 
 class Tensor:
@@ -45,8 +74,12 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.uid = next(_uid_counter)
-        self._parents = _parents
-        self._bwd = _bwd
+        if _grad_enabled:
+            self._parents = _parents
+            self._bwd = _bwd
+        else:
+            self._parents = ()
+            self._bwd = None
 
     @property
     def shape(self):
@@ -703,6 +736,8 @@ def gradcheck(
     ``fn`` maps a list of leaf tensors to a scalar tensor. When
     ``max_coords`` is set, only a random subset of coordinates per input is
     probed (seeded through ``rng``), which keeps large-op checks affordable.
+    Only the analytic pass records a tape; the perturbed re-evaluations run
+    under :class:`no_grad`.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     leaves = [tensor(a.copy()) for a in arrays]
@@ -712,6 +747,12 @@ def gradcheck(
         leaf.grad.copy() if leaf.grad is not None else np.zeros_like(leaf.data)
         for leaf in leaves
     ]
+
+    def probe(i, j, delta):
+        pert = [a.copy() for a in arrays]
+        pert[i].reshape(-1)[j] += delta
+        with no_grad():
+            return float(fn([tensor(p) for p in pert]).data.reshape(()))
 
     ok = True
     max_err = 0.0
@@ -724,15 +765,7 @@ def gradcheck(
                 rng = np.random.default_rng(0)
             idxs = sorted(rng.choice(flat.size, size=max_coords, replace=False).tolist())
         for j in idxs:
-            for sgn, store in ((1.0, "hi"), (-1.0, "lo")):
-                pert = [a.copy() for a in arrays]
-                pert[i].reshape(-1)[j] += sgn * eps
-                val = fn([tensor(p) for p in pert]).data.reshape(())
-                if store == "hi":
-                    hi = float(val)
-                else:
-                    lo = float(val)
-            numeric = (hi - lo) / (2.0 * eps)
+            numeric = (probe(i, j, eps) - probe(i, j, -eps)) / (2.0 * eps)
             a_val = float(analytic[i].reshape(-1)[j])
             err = abs(a_val - numeric)
             if err > max_err:

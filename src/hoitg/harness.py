@@ -272,7 +272,8 @@ def _forward(net, sample, index, retain_attention=False):
 
 def _sample_metrics(net, sample, index=None):
     """Per-sample metrics; ``index`` names the sample in a ``NumericAbort``."""
-    rec = _forward(net, sample, index)
+    with dc.no_grad():
+        rec = _forward(net, sample, index)
     tmpl = net.assets.objects[sample.template_id].mesh.vertices.astype(np.float64)
     pred_obj = rec.pose.apply(tmpl)
     pred_human = rec.human_full.data.astype(np.float64)
@@ -342,7 +343,8 @@ def export_attention(ckpt_path, data_dir, sample_index, layer, block, out_prefix
     if not 0 <= layer < net.cfg.layers_per_block:
         raise ParameterError(f"layer {layer} out of range 0..{net.cfg.layers_per_block - 1}")
     sample = scenegen.load_sample(data_dir, sample_index, manifest, net.assets)
-    rec = _forward(net, sample, sample_index, retain_attention=True)
+    with dc.no_grad():
+        rec = _forward(net, sample, sample_index, retain_attention=True)
     attn = rec.attention[block][layer].mean(axis=0)  # (N, N), head-averaged
     j0 = net.num_joints
     h1 = j0 + net.v0

@@ -231,7 +231,7 @@ class HoiReconstructor:
                 raise ConfigError(
                     f"parameter {name}: shape {arr.shape} vs expected {self.params[name].data.shape}"
                 )
-            self.params[name].data = arr.astype(np.float32).copy()
+            self.params[name].data = np.array(arr, dtype=np.float32)
 
     # -- forward ------------------------------------------------------------
 

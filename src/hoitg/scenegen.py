@@ -620,8 +620,12 @@ def generate_dataset(out_dir, num: int, seed: int, config: SceneConfig, assets: 
     """Write ``num`` scenes to ``out_dir``; returns the manifest dict.
 
     Sample i uses seed mix_seed(seed, i) and cycles through the configured
-    template ids, so any sample can be regenerated in isolation.
+    template ids, so any sample can be regenerated in isolation. A negative
+    ``num`` or ``seed`` raises ``ParameterError``, naming the argument.
     """
+    for name, value in (("num", num), ("seed", seed)):
+        if value < 0:
+            raise ParameterError(f"generate_dataset: argument {name!r} must be non-negative, got {value}")
     assets = assets if assets is not None else build_assets(config)
     os.makedirs(out_dir, exist_ok=True)
     templates = list(config.templates)

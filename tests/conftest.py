@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hoitg import diffcore as dc
 from hoitg import model, scenegen
 
 
@@ -27,3 +30,16 @@ def mini_encoder():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def reconstruction_tensors():
+    """A function: name -> Tensor for every tensor of a ``model.Reconstruction``, its init estimates included."""
+
+    def tensors(rec):
+        out = {f"init.{f.name}": getattr(rec.init, f.name) for f in dataclasses.fields(rec.init)}
+        out.update((f.name, getattr(rec, f.name)) for f in dataclasses.fields(rec)
+                   if isinstance(getattr(rec, f.name), dc.Tensor))
+        return out
+
+    return tensors

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hoitg import diffcore as dc
+from hoitg import losses, model, scenegen
 from hoitg.errors import DimensionError, GraphError
 
 F32 = np.float32
@@ -240,6 +241,83 @@ class TestBackward:
         ga2, gb2 = run()
         assert np.array_equal(ga1, ga2)
         assert np.array_equal(gb1, gb2)
+
+
+class TestNoGrad:
+    @pytest.fixture()
+    def sample(self, mini_assets):
+        return scenegen.sample_scene(scenegen.mix_seed(100, 0), "box", mini_assets)
+
+    def test_forward_matches_recorded_and_keeps_no_tape(self, mini_assets, mini_encoder, sample,
+                                                        reconstruction_tensors):
+        net = model.HoiReconstructor(mini_assets, mini_encoder, seed=5)
+        recorded = net.forward(sample.channels, "box")
+        with dc.no_grad():
+            bare = net.forward(sample.channels, "box")
+        want, got = reconstruction_tensors(recorded), reconstruction_tensors(bare)
+        assert set(got) == set(want) and len(got) == 15
+        for name, t in got.items():
+            assert t.data.dtype == want[name].data.dtype, name
+            assert np.array_equal(t.data, want[name].data), name
+            assert t._parents == () and t._bwd is None, name
+        assert want["human_full"]._parents and want["human_full"]._bwd is not None
+        assert np.array_equal(bare.pose.rotation, recorded.pose.rotation)
+        assert np.array_equal(bare.pose.translation, recorded.pose.translation)
+
+    def test_mode_is_restored_after_nesting_and_exceptions(self):
+        x = dc.tensor(np.array([1.0, 2.0]))
+
+        def records():
+            t = dc.mul(x, x)
+            return t._bwd is not None and t._parents == (x, x)
+
+        assert records()
+        with dc.no_grad():
+            with dc.no_grad():
+                assert not records()
+            assert not records()
+        assert records()
+        with pytest.raises(RuntimeError, match="inside"):
+            with dc.no_grad():
+                raise RuntimeError("inside")
+        assert records()
+
+    def test_backward_does_not_reach_through_an_unrecorded_result(self):
+        p = dc.tensor(np.array([3.0]))
+        with dc.no_grad():
+            sq = dc.mul(p, p)
+        q = dc.tensor(np.array([2.0]))
+        dc.backward(dc.sum_all(dc.mul(sq, q)))
+        assert p.grad is None and np.array_equal(q.grad, [9.0])
+
+    def test_gradients_after_a_no_grad_block_are_unchanged(self, mini_assets, mini_encoder, sample):
+        def grads(forward_first):
+            net = model.HoiReconstructor(mini_assets, mini_encoder, seed=5)
+            if forward_first:
+                with dc.no_grad():
+                    net.forward(sample.channels, "box")
+            total, _ = losses.scene_loss(net.forward(sample.channels, "box"), sample, mini_assets,
+                                         losses.LossWeights())
+            dc.backward(total)
+            return {name: p.grad for name, p in net.params.items()}
+
+        plain, after = grads(False), grads(True)
+        assert set(after) == set(plain)
+        for name, g in plain.items():
+            assert (g is None) == (after[name] is None), name
+            assert g is None or np.array_equal(g, after[name]), name
+
+    def test_gradcheck_records_only_the_analytic_pass(self, rng):
+        taped = []
+
+        def fn(ts):
+            out = dc.sum_all(dc.gelu(dc.matmul(ts[0], ts[1])))
+            taped.append(out._bwd is not None)
+            return out
+
+        rep = dc.gradcheck(fn, [rng.normal(size=(2, 3)), rng.normal(size=(3, 2))])
+        assert rep.ok, rep.worst
+        assert taped == [True] + [False] * (2 * 12)
 
 
 class TestAdam:

@@ -334,6 +334,42 @@ class TestExportAttention:
             harness.export_attention(cfg.checkpoint_path, mini_dataset, 0, 0, 7, str(tmp_path / "x"))
 
 
+class TestForwardOnlyPasses:
+    """Evaluation, the train snapshot and attention export record no tape."""
+
+    @pytest.fixture()
+    def captured(self, monkeypatch):
+        recs = []
+        forward = harness._forward
+
+        def capturing_forward(*args, **kwargs):
+            recs.append(forward(*args, **kwargs))
+            return recs[-1]
+
+        monkeypatch.setattr(harness, "_forward", capturing_forward)
+        return recs
+
+    @staticmethod
+    def assert_untaped(recs, count, reconstruction_tensors):
+        assert len(recs) == count
+        for rec in recs:
+            for name, t in reconstruction_tensors(rec).items():
+                assert t._parents == () and t._bwd is None, name
+
+    def test_evaluate(self, mini_dataset, mini_checkpoint, captured, reconstruction_tensors):
+        harness.evaluate(str(mini_checkpoint), mini_dataset)
+        self.assert_untaped(captured, 6, reconstruction_tensors)
+
+    def test_train_snapshot(self, mini_dataset, tmp_path, captured, reconstruction_tensors):
+        harness.train(tiny_train_config(mini_dataset, tmp_path / "s.ckpt", epochs=1, steps_per_epoch=1), quiet=True)
+        self.assert_untaped(captured, 6, reconstruction_tensors)
+
+    def test_export_attention(self, mini_dataset, mini_checkpoint, tmp_path, captured, reconstruction_tensors):
+        harness.export_attention(str(mini_checkpoint), mini_dataset, 0, 1, 0, str(tmp_path / "attn"))
+        self.assert_untaped(captured, 1, reconstruction_tensors)
+        assert captured[0].attention is not None
+
+
 class TestAblation:
     def test_placement_set_matches_table(self):
         runs = harness._ablation_runs("placement")
@@ -536,12 +572,29 @@ class TestCli:
         (["--res", "0"], "res"),
         (["--templates", "box,giant"], "templates"),
         (["--templates", ","], "templates"),
-    ], ids=["res-0", "templates-unknown", "templates-empty"])
+        (["--num", "-1"], "num"),
+        (["--seed", "-5"], "seed"),
+    ], ids=["res-0", "templates-unknown", "templates-empty", "num-neg", "seed-neg"])
     def test_exit_code_gen_out_of_range(self, tmp_path, capsys, args, field):
         rc = cli.main(["gen", "--out", str(tmp_path / "ds"), "--num", "2", *args])
         assert rc == 2
         assert repr(field) in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
+
+    def test_gen_zero_scenes_is_a_loadable_dataset(self, tmp_path):
+        data = tmp_path / "ds"
+        assert cli.main(["gen", "--out", str(data), "--num", "0", "--res", "32"]) == 0
+        assert scenegen.load_manifest(str(data))["num"] == 0
+
+    @pytest.mark.parametrize("sub", [False, True], ids=["file", "file-sub"])
+    def test_exit_code_gen_out_not_a_directory(self, tmp_path, capsys, sub):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        out = taken / "sub" if sub else taken
+        rc = cli.main(["gen", "--out", str(out), "--num", "1", "--res", "32"])
+        assert rc == 3
+        assert str(out) in capsys.readouterr().err
+        assert taken.read_text() == "x"
 
     @pytest.mark.parametrize("cut, field", [
         ("0", "length prefix"),
