@@ -226,7 +226,10 @@ def load_checkpoint(path):
         scene_cfg = replace(scene_cfg, knn_k=cfg.knn_k)
     assets = scenegen.build_assets(scene_cfg)
     net = model.HoiReconstructor(assets, cfg.encoder, seed=cfg.seed)
-    net.load_state(arrays)
+    try:
+        net.load_state(arrays)
+    except ConfigError as exc:  # the stored names or shapes are not the ones train_config builds
+        raise DataError(f"{path}: checkpoint field 'params' does not fit its train_config: {exc}") from exc
     return net, manifest
 
 

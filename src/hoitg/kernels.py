@@ -1,7 +1,8 @@
 """Hot numeric kernels, in numpy and scipy.
 
 Every kernel works on whole arrays: pairwise distances and KD-tree
-nearest-neighbor distances, farthest point sampling, the exact erf GeLU,
+nearest-neighbor distances (``NearestTree`` keeps one tree for repeated
+queries, optionally bounded), farthest point sampling, the exact erf GeLU,
 bilinear sampling and its gradient, patch extraction for convolutions, and
 point splatting. All are dtype-generic (float32 for training, float64 for
 the gradient check harness).
@@ -37,17 +38,34 @@ def pairwise_distances(a, b):
     return np.sqrt(sq, out=sq)
 
 
-def min_distances(a, b):
+class NearestTree:
+    """A KD-tree over ``points`` (m,3), built once and queried many times."""
+
+    def __init__(self, points):
+        # a KD-tree cannot hold non-finite points; such a set answers NaN
+        self.tree = cKDTree(points) if np.isfinite(points).all() else None
+
+    def distances(self, a, upper=np.inf):
+        """Per-row distance from each point of a to its nearest tree point.
+
+        Rows of a with a NaN or inf coordinate get NaN, and so does every row
+        when the tree points hold one. Rows with no tree point closer than
+        ``upper`` get inf; the search prunes by that bound, and every row
+        within it is bit-equal to the unbounded query.
+        """
+        out = np.full(len(a), np.nan)
+        finite = np.isfinite(a).all(axis=1)
+        if self.tree is not None:
+            out[finite] = self.tree.query(a[finite], distance_upper_bound=upper)[0]
+        return out
+
+
+def min_distances(a, b, upper=np.inf):
     """Per-row distance from each point of a to its nearest point of b.
 
-    Rows of a with a NaN or inf coordinate get NaN, and so does every row
-    when b has one: a KD-tree cannot hold or query non-finite points.
+    ``NearestTree(b).distances(a, upper)``, for a single query.
     """
-    out = np.full(len(a), np.nan)
-    finite = np.isfinite(a).all(axis=1)
-    if np.isfinite(b).all():
-        out[finite] = cKDTree(b).query(a[finite])[0]
-    return out
+    return NearestTree(b).distances(a, upper)
 
 
 def fps(points, m, start):

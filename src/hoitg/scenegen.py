@@ -396,7 +396,14 @@ def contact_map_gt(human_vertices, object_vertices, threshold: float = 0.05):
         raise ParameterError(f"contact threshold must be positive, got {threshold}")
     h = np.ascontiguousarray(human_vertices, dtype=np.float64)
     o = np.ascontiguousarray(object_vertices, dtype=np.float64)
-    return kernels.min_distances(h, o) <= threshold
+    return kernels.min_distances(h, o, _bound(threshold)) <= threshold
+
+
+def _bound(threshold):
+    """A KD-tree search bound just above ``threshold``: every distance at or
+    below it is found, bit-equal to an unbounded search, and any farther one
+    reads inf."""
+    return threshold * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +577,7 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
     angle = float(rng.uniform(0.0, 0.75 * math.pi))
     aa = (axis * angle).astype(np.float64)
     rot = rodrigues(aa)
+    rotated = tmpl @ rot.T
 
     want_contact = bool(rng.random() < cfg.contact_prob)
     trans = None
@@ -579,22 +587,24 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
         offset = float(rng.uniform(0.005, 0.02)) * _random_unit(rng)
         trans = mesh64[h_idx] + offset - rot @ tmpl[o_idx]
     else:
+        # One tree over the posed body serves every try. The gap is the least
+        # body-object pair distance, the same bits from either side; past the
+        # bound it reads inf, which still clears the threshold.
         target = cfg.contact_threshold * 3.0
-        direction = None
+        body_tree, bound = kernels.NearestTree(mesh64), _bound(cfg.contact_threshold)
+        direction = gap = None
         for _ in range(50):
             direction = _random_unit(rng)
             anchor = mesh64[int(rng.integers(0, assets.body.num_vertices))]
             trans = anchor + float(rng.uniform(target, 0.45)) * direction
-            posed = tmpl @ rot.T + trans
-            if kernels.min_distances(mesh64, posed).min() > cfg.contact_threshold:
+            gap = float(body_tree.distances(rotated + trans, bound).min())
+            if gap > cfg.contact_threshold:
                 break
         else:
             # nearest-offset snap: push the object out along the last direction
-            posed = tmpl @ rot.T + trans
-            gap = float(kernels.min_distances(mesh64, posed).min())
             trans = trans + (target - gap) * direction
 
-    posed = tmpl @ rot.T + trans
+    posed = rotated + trans
     contact = contact_map_gt(mesh64, posed, cfg.contact_threshold)
     channels = render_channels(mesh64, posed, cam, cfg.res, cfg.res)
     blocks = {"channels": channels, "theta": theta, "beta": beta, "gt_mesh_full": mesh_full,
@@ -713,8 +723,13 @@ def _block_at(sizes, index):
     return RECORD_BLOCKS[int(np.searchsorted(np.cumsum(sizes), index, side="right"))]
 
 
+# How far (m) a stored body vertex or joint may sit from body_forward(theta, beta).
+BODY_ATOL = 1e-5
+
+
 def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> SceneSample:
-    """Read record ``index``, check its size, floats, rotation, flags and masks, and split it into a SceneSample."""
+    """Read record ``index``, check its size, floats, rotation, flags, masks and
+    body (mesh and joints against the body model), and split it into a SceneSample."""
     path = os.path.join(data_dir, _record_name(index))
     if not os.path.exists(path):
         raise DataError(f"missing record {path}")
@@ -735,6 +750,11 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
                               ("channels", b["channels"].reshape(5, -1)[3:], "mask value (channels 3-4)")):
         if not np.isin(flags, (0.0, 1.0)).all():
             raise DataError(f"record {path}: block {name!r} holds a {what} that is not 0 or 1")
+    for name, want in zip(("gt_mesh_full", "gt_joints"), body_forward(assets.body, b["theta"], b["beta"])):
+        err = np.abs(want.ravel() - b[name]).max()  # NaN or inf when theta or beta overflow the body
+        if not err <= BODY_ATOL:
+            raise DataError(f"record {path}: block {name!r} is not the body model's output for the stored "
+                            f"'theta' and 'beta' (max error {err:.3g} m, tolerance {BODY_ATOL} m)")
     try:
         return _sample_from_record(raw, manifest["sample_templates"][index], manifest["sample_seeds"][index],
                                    assets)

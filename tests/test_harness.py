@@ -649,6 +649,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "manifest" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda e: e.update(name=e["name"] + "x"),
+        lambda e: e.update(shape=e["shape"][::-1]),
+    ], ids=["renamed", "reshaped"])
+    def test_exit_code_checkpoint_params_not_the_model(self, mini_dataset, mini_checkpoint, tmp_path, capsys, edit):
+        """A stored parameter the train config's model lacks is a broken file (exit 3), not a usage error."""
+        ckpt = rewrite_checkpoint_manifest(mini_checkpoint, tmp_path / "params.ckpt",
+                                           lambda m: edit(next(e for e in m["params"] if len(e["shape"]) > 1)))
+        rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", str(ckpt), "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'params'" in err
+
     # each case edits the manifest dict; "half" and "list" replace the file
     MANIFEST_FAULTS = {
         "half": (None, "manifest.json"),
@@ -760,7 +773,11 @@ class TestCli:
         ("contact", lambda b, res: np.put(b, -1, 2.0)),
         ("channels", lambda b, res: np.put(b, 3 * res * res + 5, 0.5)),  # human mask
         ("channels", lambda b, res: np.put(b, 4 * res * res + 7, -1.0)),  # object mask
-    ], ids=["rot-huge", "rot-stretched", "rot-reflection", "contact-half", "contact-two", "mask3", "mask4"])
+        ("gt_mesh_full", lambda b, res: np.put(b, 0, b[0] + 0.01)),  # a vertex 1 cm off the body model
+        ("gt_joints", lambda b, res: np.put(b, 4, b[4] - 0.01)),
+        ("theta", lambda b, res: np.put(b, 0, 3e38)),  # finite, but the body it poses is not the stored one
+    ], ids=["rot-huge", "rot-stretched", "rot-reflection", "contact-half", "contact-two", "mask3", "mask4",
+            "mesh-1cm", "joint-1cm", "theta-huge"])
     def test_exit_code_impossible_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, block, edit):
         _, assets, _ = scenegen.load_dataset(mini_dataset)
         sizes = scenegen._record_sizes(assets)
@@ -785,30 +802,41 @@ class TestCli:
             loader(i)  # raises DataError on a record the checks reject
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("name", ["manifest.json", "sample_00000.bin"])
+    @pytest.mark.parametrize("name", ["manifest.json", "sample_00000.bin", "checkpoint"])
     def test_fuzz_byte_flips(self, mini_dataset, mini_checkpoint, tmp_path, capsys, name):
         """64 seeded one-bit flips of a file: eval exits 0, 2, 3 or 4 and never raises.
 
         Record flips cycle through the blocks of ``RECORD_BLOCKS``, so every
-        block is hit; manifest flips land anywhere in the file.
+        block is hit; checkpoint flips alternate between the length prefix
+        and JSON manifest and the parameter payload; manifest flips land
+        anywhere in the file.
         """
         _, assets, _ = scenegen.load_dataset(mini_dataset)
         sizes = scenegen._record_sizes(assets)
-        with open(os.path.join(mini_dataset, name), "rb") as fh:
-            original = fh.read()
         data = tmp_path / "ds"
         shutil.copytree(mini_dataset, data)
+        if name == "checkpoint":
+            source, target = mini_checkpoint, tmp_path / "flipped.ckpt"
+            ckpt = target
+        else:
+            source, target = os.path.join(mini_dataset, name), data / name
+            ckpt = mini_checkpoint
+        with open(source, "rb") as fh:
+            original = fh.read()
         rng = np.random.default_rng(2024)
         for k in range(64):
             flipped = bytearray(original)
             if name == "manifest.json":
                 pos = int(rng.integers(len(flipped)))
+            elif name == "checkpoint":
+                split = 4 + struct.unpack_from("<I", original)[0]  # the end of the JSON manifest
+                pos = int(rng.integers(split)) if k % 2 == 0 else int(rng.integers(split, len(flipped)))
             else:
                 block = k % len(sizes)
                 pos = 4 * sum(sizes[:block]) + int(rng.integers(4 * sizes[block]))
             flipped[pos] ^= 1 << int(rng.integers(8))
-            (data / name).write_bytes(bytes(flipped))
-            rc = cli.main(["eval", "--data", str(data), "--ckpt", str(mini_checkpoint),
+            target.write_bytes(bytes(flipped))
+            rc = cli.main(["eval", "--data", str(data), "--ckpt", str(ckpt),
                            "--report", str(tmp_path / "rep.json")])
             assert rc in (0, 2, 3, 4), (k, pos)
             capsys.readouterr()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hoitg import kernels
 
@@ -49,6 +50,58 @@ def test_min_distances_non_finite_rows_are_nan(rng):
         b2 = b.copy()
         b2[3, 1] = bad
         assert np.isnan(kernels.min_distances(a, b2)).all()
+
+
+def _per_call_tree(a, b):
+    """The per-call KD-tree query ``NearestTree`` replaced: NaN rows for non-finite input."""
+    out = np.full(len(a), np.nan)
+    finite = np.isfinite(a).all(axis=1)
+    if np.isfinite(b).all():
+        out[finite] = cKDTree(b).query(a[finite])[0]
+    return out
+
+
+def _point_sets(rng):
+    """Random (points, queries) pairs, with NaN and inf rows on either side."""
+    for n, m in [(1, 1), (64, 1536), (300, 7), (50, 50)]:
+        p = rng.normal(size=(n, 3))
+        q = rng.normal(size=(m, 3)) * 0.5
+        yield p, q
+    p, q = rng.normal(size=(40, 3)), rng.normal(size=(30, 3))
+    q[[3, 17]] = [[np.nan, 0, 0], [0, 0, -np.inf]]
+    yield p, q
+    p[5, 1] = np.inf
+    yield p, q
+
+
+def test_nearest_tree_matches_a_per_call_tree(rng):
+    for p, q in _point_sets(rng):
+        tree = kernels.NearestTree(p)
+        for _ in range(2):  # a tree answers repeat queries alike
+            assert np.array_equal(tree.distances(q), _per_call_tree(q, p), equal_nan=True)
+        assert np.array_equal(kernels.min_distances(q, p), _per_call_tree(q, p), equal_nan=True)
+
+
+def test_nearest_tree_minimum_is_symmetric(rng):
+    # the least pair distance is the same sum of squares from either side
+    for _ in range(20):
+        p = rng.normal(size=(int(rng.integers(1, 200)), 3))
+        q = rng.normal(size=(int(rng.integers(1, 200)), 3)) + rng.normal(size=3)
+        assert kernels.NearestTree(p).distances(q).min() == kernels.min_distances(p, q).min()
+
+
+def test_bounded_distances_are_inf_beyond_the_bound_and_exact_within(rng):
+    for p, q in _point_sets(rng):
+        full = kernels.NearestTree(p).distances(q)
+        # bounds between distances, so no row sits on one; 0 keeps none, twice the largest keeps all
+        ends = np.unique(np.r_[0.0, full[np.isfinite(full)]])
+        mids = (ends[1:] + ends[:-1]) / 2
+        for upper in [0.0, *mids[:: max(1, len(mids) // 4)], 2 * ends[-1] + 1]:
+            got = kernels.min_distances(q, p, upper)
+            within = full < upper
+            assert np.array_equal(got[within], full[within])
+            assert np.isinf(got[full >= upper]).all()
+            assert np.array_equal(np.isnan(got), np.isnan(full))
 
 
 def _fps_oracle(points, m, start):

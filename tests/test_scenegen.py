@@ -111,6 +111,42 @@ class TestSampleScene:
         with pytest.raises(ParameterError):
             sg.sample_scene(0, "sofa", mini_assets)
 
+    def test_contact_free_objects_clear_the_threshold_or_snap(self, default_assets, monkeypatch):
+        cfg = default_assets.config
+        tries = []  # (object points, gap) of each placement try against the body's tree
+
+        class Spy(kernels.NearestTree):
+            def __init__(self, points):
+                super().__init__(points)
+                self.on_body = len(points) == default_assets.body.num_vertices
+
+            def distances(self, a, upper=np.inf):
+                out = super().distances(a, upper)
+                if self.on_body:
+                    tries.append((a.copy(), out.min()))
+                return out
+
+        monkeypatch.setattr(kernels, "NearestTree", Spy)
+        placed = dict.fromkeys(cfg.templates, 0)
+        snapped = 0
+        for i in range(120):  # seed 1, scene 115 exhausts its 50 tries and snaps
+            tries.clear()
+            tid = cfg.templates[i % len(cfg.templates)]
+            s = sg.sample_scene(sg.mix_seed(1, i), tid, default_assets)
+            if not tries:
+                continue  # a contact scene
+            posed, gap = tries[-1]
+            if len(tries) == 50 and not gap > cfg.contact_threshold:
+                snapped += 1
+                continue
+            placed[tid] += 1
+            assert np.allclose(posed, s.gt_object_vertices, atol=1e-6)
+            brute = kernels.pairwise_distances(s.gt_mesh_full.astype(np.float64), posed).min()
+            assert brute > cfg.contact_threshold, (i, tid)
+            # the bounded query from the object's side finds the same least pair distance
+            assert gap == brute if np.isfinite(gap) else brute > cfg.contact_threshold * (1 + 1e-6)
+        assert min(placed.values()) > 0 and snapped == 1, (placed, snapped)
+
 
 class TestProject:
     def test_unit_camera(self, rng):
@@ -192,6 +228,20 @@ class TestContactMap:
                 best = min(np.sqrt(((human[i] - obj[j]) ** 2).sum()) for j in range(7))
                 expected[i] = best <= 1.5
             assert np.array_equal(got, expected)
+
+    def test_bounded_query_keeps_the_flags_at_the_threshold(self, rng):
+        # object points at the threshold and one float64 ulp either side of it, along each axis
+        thr = 0.05
+        human = np.vstack([np.zeros(3), rng.normal(size=(4, 3))])
+        got, want = [], []
+        for d in (np.nextafter(thr, 0.0), thr, np.nextafter(thr, 1.0)):
+            for axis in range(3):
+                obj = human + d * np.eye(3)[axis]
+                obj = np.vstack([obj, obj + 1.0])
+                got.append(sg.contact_map_gt(human, obj, thr))
+                want.append(kernels.min_distances(human, obj) <= thr)
+        assert np.array_equal(got, want)
+        assert np.any(want) and not np.all(want)
 
     def test_bad_threshold(self, rng):
         with pytest.raises(ParameterError):
