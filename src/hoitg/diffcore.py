@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -650,19 +651,22 @@ def adam_step(params: dict, state: AdamState):
 # ---------------------------------------------------------------------------
 # Layout: 4-byte little-endian uint32 manifest length, the UTF-8 JSON
 # manifest, then raw little-endian float32 values. The manifest carries
-# {"params": [{"name", "shape", "byte_offset"}, ...]} plus any extra metadata;
-# byte offsets are relative to the start of the float payload.
+# {"params": [{"name", "shape", "byte_offset"}, ...]}, the zlib CRC32 of the
+# payload as "payload_crc32", and any extra metadata; byte offsets are
+# relative to the start of the float payload.
 
 def save_params(path, params: dict, extra: dict | None = None):
     entries = []
     blobs = []
     offset = 0
+    crc = 0
     for name, p in params.items():
         arr = np.ascontiguousarray(p.data, dtype="<f4")
         entries.append({"name": name, "shape": list(arr.shape), "byte_offset": offset})
         blobs.append(arr.tobytes())
+        crc = zlib.crc32(blobs[-1], crc)
         offset += arr.nbytes
-    manifest = {"params": entries}
+    manifest = {"params": entries, "payload_crc32": crc}
     if extra:
         manifest.update(extra)
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -678,7 +682,8 @@ def load_params(path):
 
     Raise DataError, naming the file and the field, when the framing is
     broken: a short length prefix, a manifest that is not a UTF-8 JSON object
-    with a ``params`` list, or an entry that does not fit the payload.
+    with a ``params`` list, an entry that does not fit the payload, or a
+    payload whose CRC32 is not the stored ``payload_crc32``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -708,6 +713,10 @@ def load_params(path):
                 f"does not fit the {len(payload)}-byte payload"
             )
         out[name] = np.frombuffer(payload, dtype="<f4", count=count, offset=o).reshape(shape).copy()
+    crc = zlib.crc32(payload)
+    if manifest.get("payload_crc32") != crc:
+        raise DataError(f"{path}: manifest field 'payload_crc32' is {manifest.get('payload_crc32')!r}, "
+                        f"but the payload's CRC32 is {crc}")
     return out, manifest
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class TrainConfig:
     encoder: model.EncoderConfig = field(default_factory=model.EncoderConfig)
     weights: losses.LossWeights = field(default_factory=losses.LossWeights)
     templates: tuple[str, ...] | None = None
-    knn_k: int | None = None
 
     def __post_init__(self):
         if min(self.epochs, self.steps_per_epoch, self.batch_size) <= 0:
@@ -54,10 +53,6 @@ class TrainConfig:
             raise ConfigError("lr and lr_decay must be positive")
         if self.seed < 0:
             raise ConfigError(f"config field 'seed' must be non-negative, got {self.seed}")
-        if self.knn_k is not None and not 1 <= self.knn_k < scenegen.OBJECT_VERTEX_COUNT:
-            raise ConfigError(
-                f"config field 'knn_k' must be in [1, {scenegen.OBJECT_VERTEX_COUNT}), got {self.knn_k}"
-            )
 
     @classmethod
     def from_json_file(cls, path):
@@ -95,7 +90,7 @@ def train(cfg: TrainConfig, sample_indices=None, quiet=False) -> TrainResult:
         raise ConfigError("train: data_dir not set")
     if not cfg.checkpoint_path:
         raise ConfigError("train: checkpoint_path not set")
-    manifest, assets, loader = scenegen.load_dataset(cfg.data_dir, cfg.knn_k)
+    manifest, assets, loader = scenegen.load_dataset(cfg.data_dir)
     _check_templates(cfg, manifest)
     samples = [loader(i) for i in range(manifest["num"])]
     if sample_indices is not None:
@@ -222,8 +217,6 @@ def load_checkpoint(path):
         scene_cfg = config_from_dict(scenegen.SceneConfig, manifest["scene_config"], "checkpoint scene config")
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if cfg.knn_k is not None:
-        scene_cfg = replace(scene_cfg, knn_k=cfg.knn_k)
     assets = scenegen.build_assets(scene_cfg)
     net = model.HoiReconstructor(assets, cfg.encoder, seed=cfg.seed)
     try:
@@ -280,7 +273,7 @@ def _sample_metrics(net, sample, index=None):
     tmpl = net.assets.objects[sample.template_id].mesh.vertices.astype(np.float64)
     pred_obj = rec.pose.apply(tmpl)
     pred_human = rec.human_full.data.astype(np.float64)
-    p, r, f1 = metrics.contact_pr(pred_human, pred_obj, sample.contact)
+    p, r, f1 = metrics.contact_pr(pred_human, pred_obj, sample.contact, net.assets.config.contact_threshold)
     init_human = rec.init.mesh_full.data.astype(np.float64)
     init_obj = rec.init.object_vertices.data.astype(np.float64)
     return {
@@ -385,12 +378,13 @@ def split_indices(n: int, seed: int, ratio: int = 8):
 
 def _ablation_runs(variant_id):
     """The runs of an ablation id, as (label, graph placement id, knn_k) triples."""
+    default_k = model.EncoderConfig.knn_k
     if variant_id == "placement":
-        return [(vid, vid, None) for vid in model.ABLATION_VARIANTS]
+        return [(vid, vid, default_k) for vid in model.ABLATION_VARIANTS]
     if variant_id == "knn-sweep":
         return [(f"k{k}", "h+o2", k) for k in model.KNN_SWEEP]
     if variant_id in model.ABLATION_VARIANTS:
-        return [(variant_id, variant_id, None)]
+        return [(variant_id, variant_id, default_k)]
     raise ParameterError(
         f"unknown ablation id {variant_id!r}: use one of "
         f"{sorted(model.ABLATION_VARIANTS)} or 'placement' or 'knn-sweep'"
@@ -420,8 +414,7 @@ def run_ablation(variant_id, data_dir, out_dir, epochs=2, steps_per_epoch=16,
             seed=seed,
             data_dir=data_dir,
             checkpoint_path=ckpt,
-            encoder=model.EncoderConfig(graph=graph),
-            knn_k=knn_k,
+            encoder=model.EncoderConfig(graph=graph, knn_k=knn_k),
         )
         result = train(cfg, sample_indices=train_idx.tolist(), quiet=True)
         report = evaluate(ckpt, data_dir, sample_indices=eval_idx.tolist())

@@ -44,12 +44,14 @@ class EncoderConfig:
 
     ``graph`` names the graph-block placement, a key of ``ABLATION_VARIANTS``;
     a partition without a graph block in some encoder block gets an MLP there.
+    ``knn_k`` is the neighbour count of each object template's KNN graph.
     """
 
     dims: tuple[int, ...] = (128, 64, 32)
     layers_per_block: int = 4
     heads: int = 4
     graph: str = "h+o2"
+    knn_k: int = 10
     feat_channels: int = 128
     mlp_expansion: int = 2
 
@@ -67,6 +69,10 @@ class EncoderConfig:
         if self.graph not in ABLATION_VARIANTS:
             raise ConfigError(
                 f"encoder field 'graph' must be one of {sorted(ABLATION_VARIANTS)}, got {self.graph!r}"
+            )
+        if not 1 <= self.knn_k < scenegen.OBJECT_VERTEX_COUNT:
+            raise ConfigError(
+                f"encoder field 'knn_k' must be in [1, {scenegen.OBJECT_VERTEX_COUNT}), got {self.knn_k}"
             )
 
 
@@ -151,6 +157,11 @@ class HoiReconstructor:
         self.num_obj = scenegen.OBJECT_VERTEX_COUNT
         self.num_tokens = self.num_joints + self.v0 + self.num_obj
         self.token_width = cfg.feat_channels + 3
+        # template id -> (64, 64) row-normalized float32 KNN graph
+        self.object_adjacency = {
+            tid: meshkit.normalize_adjacency(meshkit.knn_adjacency(obj.mesh.vertices, cfg.knn_k)).astype(np.float32)
+            for tid, obj in assets.objects.items()
+        }
         self.params: dict[str, dc.Tensor] = {}
         self._rng = np.random.default_rng(seed)
         self._build_params()
@@ -316,7 +327,7 @@ class HoiReconstructor:
         j0, h1, n = self.num_joints, self.num_joints + self.v0, self.num_tokens
         hum_graph, obj_graph = ABLATION_VARIANTS[cfg.graph]
         hum_adj = self.assets.human_adjacency
-        obj_adj = self.assets.objects[template_id].adjacency
+        obj_adj = self.object_adjacency[template_id]
         x = self._dense(f"block{block_index}.entry", tokens)
         attn_maps = []
         for l in range(cfg.layers_per_block):

@@ -4,7 +4,7 @@ The body is a linear blendshape model over a procedurally built multi-part
 template (closed ellipsoid parts, ~1.7 m tall): vertices = template +
 pose_basis . theta + shape_basis . beta, with joints read off by a fixed
 row-stochastic regressor. Objects are 64-vertex templates (box lattice,
-chair-like L shape, tube) with precomputed KNN adjacency.
+chair-like L shape, tube); the model builds their KNN graphs.
 
 A scene sample is a pure function of (seed, template id, config): body
 parameters, camera, and object pose are drawn from a seeded generator, the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,11 +252,10 @@ def rodrigues(aa: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ObjectTemplate:
-    """A 64-vertex object with its normalized KNN adjacency."""
+    """A 64-vertex object mesh (vertices only)."""
 
     template_id: str
     mesh: meshkit.Mesh
-    adjacency: np.ndarray  # (64, 64) row-normalized, dense
 
     def __post_init__(self):
         if len(self.mesh.vertices) != OBJECT_VERTEX_COUNT:
@@ -267,7 +266,6 @@ class ObjectTemplate:
 
 
 OBJECT_VERTEX_COUNT = 64
-OBJECT_KNN_K = 10
 
 
 def _box_points():
@@ -308,15 +306,14 @@ def list_object_templates():
     return sorted(_OBJECT_BUILDERS)
 
 
-def build_object_template(template_id: str, knn_k: int = OBJECT_KNN_K) -> ObjectTemplate:
+def build_object_template(template_id: str) -> ObjectTemplate:
     if template_id not in _OBJECT_BUILDERS:
         raise ParameterError(
             f"unknown object template {template_id!r}; available: {list_object_templates()}"
         )
     pts = _OBJECT_BUILDERS[template_id]().astype(np.float32)
     mesh = meshkit.Mesh(vertices=pts, faces=np.empty((0, 3), dtype=np.int64))
-    adj = meshkit.normalize_adjacency(meshkit.knn_adjacency(pts, knn_k)).astype(np.float32)
-    return ObjectTemplate(template_id=template_id, mesh=mesh, adjacency=adj)
+    return ObjectTemplate(template_id=template_id, mesh=mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +420,6 @@ class SceneConfig:
     param_range: float = 1.2
     contact_prob: float = 0.8
     contact_threshold: float = 0.05
-    knn_k: int = OBJECT_KNN_K
     templates: tuple[str, ...] = ("box", "chair", "tube")
     body_parts: str = "default"
 
@@ -439,7 +435,6 @@ class SceneConfig:
         need(0 < self.v0 < self.v1, "v0", f"in (0, v1={self.v1})")
         v2 = sum(p["nu"] * p["nv"] + 2 for p in BODY_PARTS[self.body_parts])
         need(self.v1 < v2, "v1", f"below the {v2} vertices of the {self.body_parts} body")
-        need(1 <= self.knn_k < OBJECT_VERTEX_COUNT, "knn_k", f"in [1, {OBJECT_VERTEX_COUNT})")
         need(len(self.templates) > 0 and set(self.templates) <= set(_OBJECT_BUILDERS), "templates",
              f"a non-empty list of {list_object_templates()}")
         need(self.param_range > 0, "param_range", "positive")
@@ -473,7 +468,7 @@ def build_assets(config: SceneConfig) -> SceneAssets:
     edges = meshkit.edge_list(body.faces)
     coarse_adj = meshkit.coarsen_edge_graph(edges, ops.nearest_coarse, config.v0)
     human_adj = meshkit.normalize_adjacency(coarse_adj).astype(np.float32)
-    objects = {tid: build_object_template(tid, config.knn_k) for tid in config.templates}
+    objects = {tid: build_object_template(tid) for tid in config.templates}
     return SceneAssets(
         config=config,
         body=body,
@@ -601,8 +596,13 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
             if gap > cfg.contact_threshold:
                 break
         else:
-            # nearest-offset snap: push the object out along the last direction
-            trans = trans + (target - gap) * direction
+            # nearest-offset snap: push the object out along the last direction, doubling each push,
+            # until it clears the threshold; a fixed push can be absorbed by a far-off translation
+            push = target - gap
+            while gap <= cfg.contact_threshold:
+                trans = trans + push * direction
+                gap = float(body_tree.distances(rotated + trans, bound).min())
+                push *= 2.0
 
     posed = rotated + trans
     contact = contact_map_gt(mesh64, posed, cfg.contact_threshold)
@@ -728,8 +728,9 @@ BODY_ATOL = 1e-5
 
 
 def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> SceneSample:
-    """Read record ``index``, check its size, floats, rotation, flags, masks and
-    body (mesh and joints against the body model), and split it into a SceneSample."""
+    """Read record ``index``, check its size, floats, rotation (and its axis-angle),
+    flags, masks, image channels 0-2 and body (mesh and joints against the body
+    model), and split it into a SceneSample."""
     path = os.path.join(data_dir, _record_name(index))
     if not os.path.exists(path):
         raise DataError(f"missing record {path}")
@@ -746,10 +747,16 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
     rot = b["gt_rotation"].reshape(3, 3).astype(np.float64)  # float64 squares of float32 cannot overflow
     if not (np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-4 and abs(np.linalg.det(rot) - 1.0) <= 1e-4):
         raise DataError(f"record {path}: block 'gt_rotation' is not a rotation (orthonormal, det +1)")
+    if not np.abs(rodrigues(b["gt_axis_angle"]) - rot).max() <= 1e-4:
+        raise DataError(f"record {path}: block 'gt_axis_angle' does not give the stored 'gt_rotation'")
+    chans = b["channels"].reshape(5, -1)
     for name, flags, what in (("contact", b["contact"], "contact flag"),
-                              ("channels", b["channels"].reshape(5, -1)[3:], "mask value (channels 3-4)")):
+                              ("channels", chans[3:], "mask value (channels 3-4)")):
         if not np.isin(flags, (0.0, 1.0)).all():
             raise DataError(f"record {path}: block {name!r} holds a {what} that is not 0 or 1")
+    if not (chans[:3].min() >= 0.0 and chans[:3].max() <= 1.0):
+        raise DataError(f"record {path}: block 'channels' holds a depth or shading value (channels 0-2) "
+                        f"outside [0, 1]")
     for name, want in zip(("gt_mesh_full", "gt_joints"), body_forward(assets.body, b["theta"], b["beta"])):
         err = np.abs(want.ravel() - b[name]).max()  # NaN or inf when theta or beta overflow the body
         if not err <= BODY_ATOL:
@@ -762,14 +769,9 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
         raise DataError(f"record {path}: {exc}") from exc
 
 
-def load_dataset(data_dir, knn_k: int | None = None):
-    """Returns (manifest, assets, loader) where loader(i) -> SceneSample.
-
-    ``knn_k``, when given, overrides the object graph's neighbour count.
-    """
+def load_dataset(data_dir):
+    """Returns (manifest, assets, loader) where loader(i) -> SceneSample."""
     manifest, config = _read_manifest(data_dir)
-    if knn_k is not None:
-        config = replace(config, knn_k=knn_k)
     assets = build_assets(config)
 
     def loader(i):

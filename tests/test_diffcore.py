@@ -1,11 +1,13 @@
 """Unit tests for the autodiff substrate and Adam."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from hoitg import diffcore as dc
 from hoitg import losses, model, scenegen
-from hoitg.errors import DimensionError, GraphError
+from hoitg.errors import DataError, DimensionError, GraphError
 
 F32 = np.float32
 
@@ -381,6 +383,17 @@ class TestParamFile:
         entries = {e["name"]: e for e in manifest["params"]}
         assert entries["a"]["byte_offset"] == 0
         assert entries["b"]["byte_offset"] == 16
+
+    def test_payload_checksum(self, tmp_path, rng):
+        path = tmp_path / "p.bin"
+        dc.save_params(path, {"w": dc.tensor(rng.normal(size=(3, 5)).astype(F32))})
+        data = bytearray(path.read_bytes())
+        _, manifest = dc.load_params(path)
+        assert manifest["payload_crc32"] == zlib.crc32(data[len(data) - 60 :])
+        data[-7] ^= 0x10  # one bit of the last float
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="'payload_crc32'"):
+            dc.load_params(path)
 
 
 class TestBroadcastBoundaries:

@@ -3,9 +3,11 @@
 import csv
 import json
 import os
+import pathlib
 import shutil
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -30,14 +32,16 @@ def mini_checkpoint(mini_dataset, tmp_path_factory):
     return path
 
 
-def rewrite_checkpoint_manifest(src, dst, edit):
-    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON manifest; returns ``dst``."""
+def rewrite_checkpoint_manifest(src, dst, edit, payload=None):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON manifest and, when given,
+    the float32 array ``payload`` in place of its payload; returns ``dst``."""
     data = src.read_bytes()
     (mlen,) = struct.unpack("<I", data[:4])
     manifest = json.loads(data[4 : 4 + mlen])
     edit(manifest)
     mbytes = json.dumps(manifest).encode("utf-8")
-    dst.write_bytes(struct.pack("<I", len(mbytes)) + mbytes + data[4 + mlen :])
+    body = data[4 + mlen :] if payload is None else payload.astype("<f4").tobytes()
+    dst.write_bytes(struct.pack("<I", len(mbytes)) + mbytes + body)
     return dst
 
 
@@ -95,7 +99,7 @@ class TestTrainConfig:
 
 
 ENCODER = model.EncoderConfig(
-    dims=(48, 24, 12), layers_per_block=3, heads=3, graph="none", feat_channels=32, mlp_expansion=3,
+    dims=(48, 24, 12), layers_per_block=3, heads=3, graph="none", knn_k=7, feat_channels=32, mlp_expansion=3,
 )
 WEIGHTS = losses.LossWeights(*(1.5 + 0.25 * i for i in range(len(losses.TERM_NAMES))))
 
@@ -104,13 +108,13 @@ WEIGHTS = losses.LossWeights(*(1.5 + 0.25 * i for i in range(len(losses.TERM_NAM
     harness.TrainConfig(
         epochs=3, steps_per_epoch=5, batch_size=2, lr=3e-4, lr_decay=0.5, decay_at=0.25, seed=4,
         data_dir="d", checkpoint_path="c.ckpt", log_path="c.csv", encoder=ENCODER, weights=WEIGHTS,
-        templates=("tube", "box"), knn_k=7,
+        templates=("tube", "box"),
     ),
     ENCODER,
     WEIGHTS,
     scenegen.SceneConfig(
         res=32, v0=16, v1=32, body_seed=5, pose_dim=12, shape_dim=2, param_range=0.8, contact_prob=0.5,
-        contact_threshold=0.04, knn_k=7, templates=("tube", "box"), body_parts="mini",
+        contact_threshold=0.04, templates=("tube", "box"), body_parts="mini",
     ),
 ], ids=lambda cfg: type(cfg).__name__)
 def test_config_json_roundtrip(cfg):
@@ -293,6 +297,19 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             harness.evaluate(cfg.checkpoint_path, str(other))
 
+    def test_contact_scored_at_the_dataset_threshold(self, tmp_path, monkeypatch):
+        """Ground-truth meshes score contact p = r = 1 on a 3 cm dataset, not against a 5 cm default."""
+        data = str(tmp_path / "ds3")
+        scene = scenegen.SceneConfig(res=32, v0=16, v1=32, body_parts="mini", contact_threshold=0.03)
+        manifest = scenegen.generate_dataset(data, 8, 123, scene)
+        assert manifest["contact_mask_consistency"] is not None  # some scenes are in contact
+        cfg = tiny_train_config(data, tmp_path / "c.ckpt", epochs=1, steps_per_epoch=1)
+        harness.train(cfg, quiet=True)
+        monkeypatch.setattr(harness, "_forward",
+                            lambda net, sample, index: harness.gt_reconstruction(sample, net.assets))
+        report = harness.evaluate(cfg.checkpoint_path, data)
+        assert report.contact_precision == report.contact_recall == 1.0
+
 
 class TestExportAttention:
     def test_vector_and_files(self, mini_dataset, tmp_path):
@@ -408,18 +425,39 @@ class TestAblation:
         assert np.array_equal(train_idx, again[0])
 
 
-def test_knn_override_builds_assets_once(mini_dataset, tmp_path, monkeypatch):
-    calls = []
-    build = scenegen.build_assets
+def test_encoder_knn_k_builds_assets_once(mini_dataset, tmp_path, monkeypatch):
+    """A train run at encoder knn_k 3 builds the scene assets once, and its model's object graphs are
+    the COO oracle's 3-NN graphs; the checkpoint rebuilds the same graphs."""
+    from test_meshkit import brute_force_knn
+    from test_scenegen import coo_normalized
+
+    calls, nets = [], []
+    build, net_class = scenegen.build_assets, model.HoiReconstructor
 
     def counting_build(config):
-        calls.append(config.knn_k)
+        calls.append(config)
         return build(config)
 
+    class Recording(net_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nets.append(self)
+
     monkeypatch.setattr(scenegen, "build_assets", counting_build)
-    cfg = tiny_train_config(mini_dataset, tmp_path / "k.ckpt", epochs=1, steps_per_epoch=1, knn_k=3)
+    monkeypatch.setattr(model, "HoiReconstructor", Recording)
+    enc = model.EncoderConfig(dims=(16, 12, 8), heads=2, feat_channels=16, layers_per_block=2, knn_k=3)
+    cfg = tiny_train_config(mini_dataset, tmp_path / "k.ckpt", epochs=1, steps_per_epoch=1, encoder=enc)
     harness.train(cfg, quiet=True)
-    assert calls == [3]
+    assert len(calls) == 1 and len(nets) == 1
+    for tid, template in nets[0].assets.objects.items():
+        knn = brute_force_knn(template.mesh.vertices.astype(np.float64), 3)
+        triples = [(i, j, d) for i, picks in knn.items() for d, j in picks]
+        want = coo_normalized(scenegen.OBJECT_VERTEX_COUNT, *zip(*triples))
+        assert np.array_equal(nets[0].object_adjacency[tid], want), tid
+    loaded, _ = harness.load_checkpoint(cfg.checkpoint_path)
+    assert loaded.cfg.knn_k == 3
+    for tid, adj in nets[0].object_adjacency.items():
+        assert np.array_equal(loaded.object_adjacency[tid], adj), tid
 
 
 ONE_STEP = {"epochs": 1, "steps_per_epoch": 1, "batch_size": 1}
@@ -489,8 +527,8 @@ class TestCli:
         ({**ONE_STEP, "encoder": {"dims": [16, 12, 0]}}, "dims"),
         ({**ONE_STEP, "encoder": {"dims": [16, 12, -8]}}, "dims"),
         ({**ONE_STEP, "seed": -1}, "seed"),
-        ({**ONE_STEP, "knn_k": 0}, "knn_k"),
-        ({**ONE_STEP, "knn_k": 64}, "knn_k"),
+        ({**ONE_STEP, "encoder": {"knn_k": 0}}, "knn_k"),
+        ({**ONE_STEP, "encoder": {"knn_k": 64}}, "knn_k"),
         ({**ONE_STEP, "encoder": {"graph": "h+o4"}}, "graph"),
         # the per-block flags of the old config format
         ({**ONE_STEP, "encoder": {"human_graph": [True, True, True]}}, "human_graph"),
@@ -544,6 +582,7 @@ class TestCli:
         ({"shape_dim": 0}, "shape_dim"),
         ({"res": 0}, "res"),
         ({"body_seed": -1}, "body_seed"),
+        # K is an encoder field, so a manifest that names it is malformed whatever the value
         ({"knn_k": 0}, "knn_k"),
         ({"knn_k": 64}, "knn_k"),
         ({"v0": 0}, "v0"),
@@ -617,7 +656,8 @@ class TestCli:
         assert str(ckpt) in err and field in err
 
     # a file without 'kind' is some other parameter file, which is a usage error
-    @pytest.mark.parametrize("key, code", [("params", 3), ("kind", 2), ("train_config", 3), ("scene_config", 3)])
+    @pytest.mark.parametrize("key, code", [("params", 3), ("kind", 2), ("train_config", 3), ("scene_config", 3),
+                                           ("payload_crc32", 3)])
     def test_exit_code_checkpoint_manifest_missing_key(self, mini_dataset, mini_checkpoint, tmp_path, capsys,
                                                        key, code):
         ckpt = rewrite_checkpoint_manifest(mini_checkpoint, tmp_path / "nokey.ckpt", lambda m: m.pop(key))
@@ -638,6 +678,29 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err
         assert str(ckpt) in err and field in err
+
+    @pytest.mark.parametrize("key", ["train_config", "scene_config"])
+    def test_exit_code_checkpoint_with_old_knn_k(self, mini_dataset, mini_checkpoint, tmp_path, capsys, key):
+        """K moved into the encoder config, so a checkpoint that stores it elsewhere must be retrained."""
+        ckpt = rewrite_checkpoint_manifest(mini_checkpoint, tmp_path / "old.ckpt", lambda m: m[key].update(knn_k=10))
+        rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", str(ckpt), "--report", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'knn_k'" in err
+
+    def test_old_manifest_migrates_by_deleting_knn_k(self, mini_dataset, mini_checkpoint, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(mini_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["config"]["knn_k"] = 10
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["eval", "--data", str(data), "--ckpt", str(mini_checkpoint), "--report", str(tmp_path / "rep.json")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "'knn_k'" in err
+        del manifest["config"]["knn_k"]  # the records stay as they are
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(argv) == 0
 
     def test_exit_code_checkpoint_manifest_not_json(self, mini_dataset, mini_checkpoint, tmp_path, capsys):
         data = bytearray(mini_checkpoint.read_bytes())
@@ -776,8 +839,14 @@ class TestCli:
         ("gt_mesh_full", lambda b, res: np.put(b, 0, b[0] + 0.01)),  # a vertex 1 cm off the body model
         ("gt_joints", lambda b, res: np.put(b, 4, b[4] - 0.01)),
         ("theta", lambda b, res: np.put(b, 0, 3e38)),  # finite, but the body it poses is not the stored one
+        ("gt_axis_angle", lambda b, res: np.put(b, 0, 3e38)),
+        ("gt_axis_angle", lambda b, res: np.put(b, 1, b[1] + 0.01)),  # not the stored rotation's axis-angle
+        ("channels", lambda b, res: np.put(b, 0, 3e38)),  # human depth
+        ("channels", lambda b, res: np.put(b, res * res + 9, -0.5)),  # object depth
+        ("channels", lambda b, res: np.put(b, 2 * res * res + 3, 1.5)),  # shading
     ], ids=["rot-huge", "rot-stretched", "rot-reflection", "contact-half", "contact-two", "mask3", "mask4",
-            "mesh-1cm", "joint-1cm", "theta-huge"])
+            "mesh-1cm", "joint-1cm", "theta-huge", "axis-angle-huge", "axis-angle-off", "depth-huge",
+            "depth-neg", "shading-1.5"])
     def test_exit_code_impossible_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, block, edit):
         _, assets, _ = scenegen.load_dataset(mini_dataset)
         sizes = scenegen._record_sizes(assets)
@@ -839,6 +908,8 @@ class TestCli:
             rc = cli.main(["eval", "--data", str(data), "--ckpt", str(ckpt),
                            "--report", str(tmp_path / "rep.json")])
             assert rc in (0, 2, 3, 4), (k, pos)
+            if name == "checkpoint" and k % 2:  # the payload checksum catches every payload flip
+                assert rc == 3 and "'payload_crc32'" in capsys.readouterr().err, (k, pos)
             capsys.readouterr()
 
     def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path):
@@ -854,13 +925,13 @@ class TestCli:
     def test_exit_code_diverged_checkpoint(self, mini_dataset, tmp_path):
         cfg = tiny_train_config(mini_dataset, tmp_path / "d.ckpt")
         harness.train(cfg, quiet=True)
-        with open(cfg.checkpoint_path, "r+b") as fh:
-            (mlen,) = struct.unpack("<I", fh.read(4))
-            fh.seek(4 + mlen)
-            payload = np.frombuffer(fh.read(), dtype="<f4").copy()
-            payload[::3] = 1e30
-            fh.seek(4 + mlen)
-            fh.write(payload.tobytes())
+        ckpt = pathlib.Path(cfg.checkpoint_path)
+        data = ckpt.read_bytes()
+        payload = np.frombuffer(data[4 + struct.unpack("<I", data[:4])[0] :], dtype="<f4").copy()
+        payload[::3] = 1e30
+        # a diverged run writes a consistent file: its payload checksum is the huge weights'
+        rewrite_checkpoint_manifest(ckpt, ckpt, lambda m: m.update(payload_crc32=zlib.crc32(payload.tobytes())),
+                                    payload)
         with pytest.raises(NumericAbort, match="sample 0") as info:
             harness.evaluate(cfg.checkpoint_path, mini_dataset)
         assert info.value.batch_indices == [0]

@@ -68,6 +68,20 @@ class TestEncoderConfig:
     def test_knn_sweep_includes_ten(self):
         assert 10 in model.KNN_SWEEP
 
+    @pytest.mark.parametrize("k", [0, -1, scenegen.OBJECT_VERTEX_COUNT])
+    def test_knn_k_out_of_range(self, k):
+        with pytest.raises(ConfigError, match="'knn_k'"):
+            model.EncoderConfig(knn_k=k)
+
+    def test_object_graphs_follow_knn_k(self, mini_assets, mini_encoder):
+        # row i of a K-NN graph links at least K points; symmetrization can add more
+        for k in (1, 5):
+            net = model.HoiReconstructor(mini_assets, replace(mini_encoder, knn_k=k), seed=0)
+            for adj in net.object_adjacency.values():
+                assert adj.shape == (64, 64) and adj.dtype == np.float32
+                assert np.allclose(adj.sum(axis=1, dtype=np.float64), 1.0, atol=1e-6)
+                assert (adj > 0).sum(axis=1).min() >= k
+
 
 class TestGridSample:
     def test_exact_node(self, rng):
@@ -300,9 +314,10 @@ class TestForward:
         permuted_assets = copy.deepcopy(mini_assets)
         box = permuted_assets.objects["box"]
         box.mesh.vertices = box.mesh.vertices[perm]
-        box.adjacency = mini_assets.objects["box"].adjacency[np.ix_(perm, perm)]
 
         net_p = model.HoiReconstructor(permuted_assets, mini_encoder, seed=5)
+        # the permuted graph, not a KNN graph rebuilt from the permuted points, whose ties may break apart
+        net_p.object_adjacency["box"] = net.object_adjacency["box"][np.ix_(perm, perm)]
         net_p.load_state({k: v.data for k, v in net.params.items()})
         for p in net_p.params.values():
             p.data = p.data.astype(np.float64)
