@@ -17,9 +17,10 @@ input tensor is rasterized by splatting projected vertices:
     channel 3  human mask
     channel 4  object mask
 
-Dataset layout on disk: ``manifest.json`` plus one binary record per sample,
-little-endian float32 blocks in the order of ``RECORD_BLOCKS``, with the float
-counts of ``_record_sizes``. ``sample_scene`` builds that record and
+Dataset layout on disk: ``manifest.json`` (with each record's CRC32) plus one
+binary record per sample, little-endian float32 blocks in the order of
+``RECORD_BLOCKS``, with the float counts of ``_record_sizes``. A record holds
+the body's parameters, not its mesh. ``sample_scene`` builds that record and
 ``load_sample`` reads it back; both hand it to ``_sample_from_record``, so a
 fresh scene equals its loaded record field for field.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -504,23 +506,21 @@ class SceneSample:
 
 # The blocks of a scene record, in file order; all but the camera (s, tx, ty)
 # are the SceneSample fields of the same name.
-RECORD_BLOCKS = ("channels", "theta", "beta", "gt_mesh_full", "gt_joints", "gt_rotation",
-                 "gt_axis_angle", "gt_translation", "camera", "contact")
+RECORD_BLOCKS = ("channels", "theta", "beta", "gt_rotation", "gt_axis_angle", "gt_translation", "camera",
+                 "contact")
 
 
 def _record_sizes(assets: SceneAssets):
     """The float count of each block in ``RECORD_BLOCKS``."""
-    cfg, v2 = assets.config, assets.body.num_vertices
-    return [5 * cfg.res * cfg.res, cfg.pose_dim, cfg.shape_dim, v2 * 3, assets.body.num_joints * 3,
-            9, 3, 3, 3, v2]
+    cfg = assets.config
+    return [5 * cfg.res * cfg.res, cfg.pose_dim, cfg.shape_dim, 9, 3, 3, 3, assets.body.num_vertices]
 
 
 def _sample_from_record(raw: np.ndarray, template_id: str, seed: int, assets: SceneAssets) -> SceneSample:
     """Split a float32 record into a SceneSample and derive the remaining targets."""
     res = assets.config.res
     b = dict(zip(RECORD_BLOCKS, np.split(raw, np.cumsum(_record_sizes(assets))[:-1])))
-    mesh_full = b["gt_mesh_full"].reshape(-1, 3)
-    joints = b["gt_joints"].reshape(-1, 3)
+    mesh_full, joints = body_forward(assets.body, b["theta"], b["beta"])
     rot = b["gt_rotation"].reshape(3, 3)
     trans = b["gt_translation"]
     cam = Camera(scale=float(b["camera"][0]), translation=b["camera"][1:])
@@ -607,9 +607,8 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
     posed = rotated + trans
     contact = contact_map_gt(mesh64, posed, cfg.contact_threshold)
     channels = render_channels(mesh64, posed, cam, cfg.res, cfg.res)
-    blocks = {"channels": channels, "theta": theta, "beta": beta, "gt_mesh_full": mesh_full,
-              "gt_joints": joints, "gt_rotation": rot, "gt_axis_angle": aa, "gt_translation": trans,
-              "camera": [cam.scale, *cam.translation], "contact": contact}
+    blocks = {"channels": channels, "theta": theta, "beta": beta, "gt_rotation": rot, "gt_axis_angle": aa,
+              "gt_translation": trans, "camera": [cam.scale, *cam.translation], "contact": contact}
     record = np.concatenate([np.ravel(blocks[name]) for name in RECORD_BLOCKS], dtype="<f4")
     return _sample_from_record(record, template_id, seed, assets)
 
@@ -619,7 +618,7 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
-DATASET_FORMAT = "hoitg-dataset-v1"
+DATASET_FORMAT = "hoitg-dataset-v2"
 
 
 def _record_name(i):
@@ -647,6 +646,7 @@ def generate_dataset(out_dir, num: int, seed: int, config: SceneConfig, assets: 
         "seed": seed,
         "sample_templates": sample_templates,
         "sample_seeds": sample_seeds,
+        "sample_crc32": [],
         "config": config_to_dict(config),
     }
     contact_scenes = 0
@@ -658,6 +658,7 @@ def generate_dataset(out_dir, num: int, seed: int, config: SceneConfig, assets: 
             if _masks_touch(sample.channels[3], sample.channels[4]):
                 masks_consistent += 1
         sample.record.tofile(os.path.join(out_dir, _record_name(i)))
+        manifest["sample_crc32"].append(zlib.crc32(sample.record))
     # sanity statistic, recorded rather than enforced: scenes with contact
     # should nearly always show touching or adjacent human/object masks
     manifest["contact_mask_consistency"] = (
@@ -698,7 +699,7 @@ def _read_manifest(data_dir):
     need(manifest.get("format") == DATASET_FORMAT, "format", repr(DATASET_FORMAT), manifest.get("format"))
     num = manifest.get("num")
     need(type(num) is int and num >= 0, "num", "a non-negative int", num)
-    for field in ("sample_templates", "sample_seeds"):
+    for field in ("sample_templates", "sample_seeds", "sample_crc32"):
         entries = manifest.get(field)
         need(isinstance(entries, list) and len(entries) == num, field, f"a list of {num} entries",
              len(entries) if isinstance(entries, list) else entries)
@@ -710,6 +711,8 @@ def _read_manifest(data_dir):
     need(not bad, "sample_templates", f"ids from {list(config.templates)}", bad[:1])
     bad = [x for x in manifest["sample_seeds"] if type(x) is not int or not 0 <= x <= MASK64]
     need(not bad, "sample_seeds", "seeds in [0, 2**64)", bad[:1])
+    bad = [x for x in manifest["sample_crc32"] if type(x) is not int or not 0 <= x < 2**32]
+    need(not bad, "sample_crc32", "CRC32s in [0, 2**32)", bad[:1])
     return manifest, config
 
 
@@ -723,14 +726,10 @@ def _block_at(sizes, index):
     return RECORD_BLOCKS[int(np.searchsorted(np.cumsum(sizes), index, side="right"))]
 
 
-# How far (m) a stored body vertex or joint may sit from body_forward(theta, beta).
-BODY_ATOL = 1e-5
-
-
 def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> SceneSample:
     """Read record ``index``, check its size, floats, rotation (and its axis-angle),
-    flags, masks, image channels 0-2 and body (mesh and joints against the body
-    model), and split it into a SceneSample."""
+    flags, masks, image channels 0-2 and body parameters, split it into a
+    SceneSample, and check its CRC32 against the manifest's."""
     path = os.path.join(data_dir, _record_name(index))
     if not os.path.exists(path):
         raise DataError(f"missing record {path}")
@@ -757,16 +756,19 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
     if not (chans[:3].min() >= 0.0 and chans[:3].max() <= 1.0):
         raise DataError(f"record {path}: block 'channels' holds a depth or shading value (channels 0-2) "
                         f"outside [0, 1]")
-    for name, want in zip(("gt_mesh_full", "gt_joints"), body_forward(assets.body, b["theta"], b["beta"])):
-        err = np.abs(want.ravel() - b[name]).max()  # NaN or inf when theta or beta overflow the body
-        if not err <= BODY_ATOL:
-            raise DataError(f"record {path}: block {name!r} is not the body model's output for the stored "
-                            f"'theta' and 'beta' (max error {err:.3g} m, tolerance {BODY_ATOL} m)")
+    limit = np.float32(assets.config.param_range)  # the generator's float32 draws from (-p, p) stay within
+    for name in ("theta", "beta"):
+        if not np.abs(b[name]).max() <= limit:
+            raise DataError(f"record {path}: block {name!r} holds a value outside +-'param_range' ({limit})")
     try:
-        return _sample_from_record(raw, manifest["sample_templates"][index], manifest["sample_seeds"][index],
-                                   assets)
+        sample = _sample_from_record(raw, manifest["sample_templates"][index], manifest["sample_seeds"][index],
+                                     assets)
     except ParameterError as exc:
         raise DataError(f"record {path}: {exc}") from exc
+    # last, so that each check above names the block it rejects
+    if zlib.crc32(raw) != manifest["sample_crc32"][index]:
+        raise DataError(f"record {path}: CRC32 is not the manifest's 'sample_crc32' entry {index}")
+    return sample
 
 
 def load_dataset(data_dir):

@@ -1,6 +1,7 @@
 """Training loop, checkpointing, evaluation, ablation, CLI."""
 
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -14,7 +15,7 @@ import pytest
 
 from hoitg import cli, harness, losses, model, scenegen
 from hoitg import diffcore as dc
-from hoitg.errors import ConfigError, NumericAbort, ParameterError, config_from_dict, config_to_dict
+from hoitg.errors import ConfigError, DataError, NumericAbort, ParameterError, config_from_dict, config_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -731,6 +732,7 @@ class TestCli:
         "list": (None, "manifest.json"),
         "format-missing": (lambda m: m.pop("format"), "'format'"),
         "format-other": (lambda m: m.update(format="hoitg-dataset-v0"), "'format'"),
+        "format-v1": (lambda m: m.update(format="hoitg-dataset-v1"), "'format'"),  # records held the body mesh
         "num-missing": (lambda m: m.pop("num"), "'num'"),
         "num-str": (lambda m: m.update(num="6"), "'num'"),
         "num-neg": (lambda m: m.update(num=-1), "'num'"),
@@ -747,6 +749,11 @@ class TestCli:
         "seeds-neg": (lambda m: m["sample_seeds"].__setitem__(0, -7), "'sample_seeds'"),
         "seeds-float": (lambda m: m["sample_seeds"].__setitem__(0, 7.0), "'sample_seeds'"),
         "seeds-2**64": (lambda m: m["sample_seeds"].__setitem__(0, 2**64), "'sample_seeds'"),
+        "crc-missing": (lambda m: m.pop("sample_crc32"), "'sample_crc32'"),
+        "crc-short": (lambda m: m["sample_crc32"].pop(), "'sample_crc32'"),
+        "crc-neg": (lambda m: m["sample_crc32"].__setitem__(0, -1), "'sample_crc32'"),
+        "crc-2**32": (lambda m: m["sample_crc32"].__setitem__(0, 2**32), "'sample_crc32'"),
+        "crc-str": (lambda m: m["sample_crc32"].__setitem__(0, str(m["sample_crc32"][0])), "'sample_crc32'"),
     }
 
     @pytest.mark.parametrize("cut", list(MANIFEST_FAULTS))
@@ -775,11 +782,14 @@ class TestCli:
         edit(np.fromfile(path, dtype="<f4")).tofile(path)
         return str(data), str(path)
 
-    @pytest.mark.parametrize("block", range(len(scenegen.RECORD_BLOCKS)))
-    def test_exit_code_truncated_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, block):
+    @pytest.mark.parametrize("cut", range(2 * len(scenegen.RECORD_BLOCKS)))
+    def test_exit_code_truncated_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, cut):
+        """An even ``cut`` ends the record where a block starts, an odd one halfway into it."""
+        block, half = divmod(cut, 2)
         _, assets, _ = scenegen.load_dataset(mini_dataset)
-        start = sum(scenegen._record_sizes(assets)[:block])
-        data, path = self._write_record(mini_dataset, tmp_path, lambda raw: raw[:start])
+        sizes = scenegen._record_sizes(assets)
+        end = sum(sizes[:block]) + half * (sizes[block] // 2)
+        data, path = self._write_record(mini_dataset, tmp_path, lambda raw: raw[:end])
         rc = cli.main(["eval", "--data", data, "--ckpt", str(mini_checkpoint),
                        "--report", str(tmp_path / "rep.json")])
         assert rc == 3
@@ -836,16 +846,16 @@ class TestCli:
         ("contact", lambda b, res: np.put(b, -1, 2.0)),
         ("channels", lambda b, res: np.put(b, 3 * res * res + 5, 0.5)),  # human mask
         ("channels", lambda b, res: np.put(b, 4 * res * res + 7, -1.0)),  # object mask
-        ("gt_mesh_full", lambda b, res: np.put(b, 0, b[0] + 0.01)),  # a vertex 1 cm off the body model
-        ("gt_joints", lambda b, res: np.put(b, 4, b[4] - 0.01)),
-        ("theta", lambda b, res: np.put(b, 0, 3e38)),  # finite, but the body it poses is not the stored one
+        ("theta", lambda b, res: np.put(b, 0, 3e38)),  # finite, but it poses a body 1e37 m across
+        ("theta", lambda b, res: np.put(b, 0, 1.01 * scenegen.SceneConfig.param_range)),
+        ("beta", lambda b, res: np.put(b, 0, -1.01 * scenegen.SceneConfig.param_range)),
         ("gt_axis_angle", lambda b, res: np.put(b, 0, 3e38)),
         ("gt_axis_angle", lambda b, res: np.put(b, 1, b[1] + 0.01)),  # not the stored rotation's axis-angle
         ("channels", lambda b, res: np.put(b, 0, 3e38)),  # human depth
         ("channels", lambda b, res: np.put(b, res * res + 9, -0.5)),  # object depth
         ("channels", lambda b, res: np.put(b, 2 * res * res + 3, 1.5)),  # shading
     ], ids=["rot-huge", "rot-stretched", "rot-reflection", "contact-half", "contact-two", "mask3", "mask4",
-            "mesh-1cm", "joint-1cm", "theta-huge", "axis-angle-huge", "axis-angle-off", "depth-huge",
+            "theta-huge", "theta-range", "beta-range", "axis-angle-huge", "axis-angle-off", "depth-huge",
             "depth-neg", "shading-1.5"])
     def test_exit_code_impossible_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, block, edit):
         _, assets, _ = scenegen.load_dataset(mini_dataset)
@@ -861,7 +871,46 @@ class TestCli:
                        "--report", str(tmp_path / "rep.json")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert path in err and repr(block) in err
+        assert path in err and f"block {block!r}" in err
+
+    def test_body_parameters_at_the_range_load(self, mini_dataset, mini_checkpoint, tmp_path, capsys):
+        """theta and beta at exactly +-float32(param_range), the generator's extremes, pass the range check;
+        the edit is caught by the record's CRC32 until the manifest's entry is refreshed."""
+        _, assets, _ = scenegen.load_dataset(mini_dataset)
+        sizes = scenegen._record_sizes(assets)
+        theta, beta = (sum(sizes[:scenegen.RECORD_BLOCKS.index(name)]) for name in ("theta", "beta"))
+        limit = np.float32(assets.config.param_range)
+
+        def edit(raw):
+            raw[theta], raw[beta] = limit, -limit
+            return raw
+
+        data, path = self._write_record(mini_dataset, tmp_path, edit)
+        argv = ["eval", "--data", data, "--ckpt", str(mini_checkpoint), "--report", str(tmp_path / "rep.json")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert path in err and "'sample_crc32'" in err
+        manifest_path = pathlib.Path(data) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sample_crc32"][0] = zlib.crc32(pathlib.Path(path).read_bytes())
+        manifest_path.write_text(json.dumps(manifest))
+        assert cli.main(argv) == 0
+
+    def test_records_of_another_run_fail_their_crc(self, mini_dataset, tmp_path):
+        """Records that another seed's gen wrote over the first three, as a second gen cut short leaves
+        them, pass every semantic check but not the manifest's CRC32s."""
+        _, assets, _ = scenegen.load_dataset(mini_dataset)
+        data, other = tmp_path / "ds", tmp_path / "other"
+        shutil.copytree(mini_dataset, data)
+        scenegen.generate_dataset(other, 3, 124, assets.config)
+        for i in range(3):
+            shutil.copyfile(other / f"sample_{i:05d}.bin", data / f"sample_{i:05d}.bin")
+        _, _, loader = scenegen.load_dataset(str(data))
+        for i in range(3):
+            with pytest.raises(DataError, match=f"sample_{i:05d}.bin.*'sample_crc32'"):
+                loader(i)
+        for i in range(3, 6):
+            loader(i)
 
     def test_fresh_gen_dataset_passes_the_record_checks(self, tmp_path):
         out = str(tmp_path / "fresh")
@@ -876,9 +925,9 @@ class TestCli:
         """64 seeded one-bit flips of a file: eval exits 0, 2, 3 or 4 and never raises.
 
         Record flips cycle through the blocks of ``RECORD_BLOCKS``, so every
-        block is hit; checkpoint flips alternate between the length prefix
-        and JSON manifest and the parameter payload; manifest flips land
-        anywhere in the file.
+        block is hit, and each exits 3; checkpoint flips alternate between
+        the length prefix and JSON manifest and the parameter payload;
+        manifest flips land anywhere in the file.
         """
         _, assets, _ = scenegen.load_dataset(mini_dataset)
         sizes = scenegen._record_sizes(assets)
@@ -910,9 +959,11 @@ class TestCli:
             assert rc in (0, 2, 3, 4), (k, pos)
             if name == "checkpoint" and k % 2:  # the payload checksum catches every payload flip
                 assert rc == 3 and "'payload_crc32'" in capsys.readouterr().err, (k, pos)
+            if name == "sample_00000.bin":  # a check names the block, or the record checksum catches the flip
+                assert rc == 3, (k, pos)
             capsys.readouterr()
 
-    def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path):
+    def test_exit_code_viz_on_mismatched_dataset(self, mini_dataset, tmp_path, capsys):
         cfg = tiny_train_config(mini_dataset, tmp_path / "v.ckpt")
         harness.train(cfg, quiet=True)
         other = str(tmp_path / "res16")
@@ -920,6 +971,18 @@ class TestCli:
         rc = cli.main(["viz-attn", "--ckpt", cfg.checkpoint_path, "--data", other, "--sample", "0",
                        "--layer", "0", "--block", "0", "--out", str(tmp_path / "att")])
         assert rc == 2
+        assert "checkpoint scene config does not match the dataset" in capsys.readouterr().err
+
+    def test_exit_code_eval_on_mismatched_dataset(self, mini_dataset, mini_checkpoint, tmp_path, capsys):
+        """A dataset drawn under another scene config is a usage error (exit 2), even where its records
+        have the checkpoint's layout and would load."""
+        _, assets, _ = scenegen.load_dataset(mini_dataset)
+        other = str(tmp_path / "ds")
+        scenegen.generate_dataset(other, 1, 5, dataclasses.replace(assets.config, contact_threshold=0.04))
+        rc = cli.main(["eval", "--data", other, "--ckpt", str(mini_checkpoint),
+                       "--report", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert "checkpoint scene config does not match the dataset" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exit_code_diverged_checkpoint(self, mini_dataset, tmp_path):

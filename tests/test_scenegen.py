@@ -105,8 +105,8 @@ class TestSampleScene:
     def test_mesh_consistent_with_params(self, mini_assets):
         s = sg.sample_scene(sg.mix_seed(3, 1), "box", mini_assets)
         verts, joints = sg.body_forward(mini_assets.body, s.theta, s.beta)
-        assert np.allclose(verts, s.gt_mesh_full, atol=1e-6)
-        assert np.allclose(joints, s.gt_joints, atol=1e-6)
+        assert np.array_equal(verts, s.gt_mesh_full)
+        assert np.array_equal(joints, s.gt_joints)
 
     def test_unknown_template(self, mini_assets):
         with pytest.raises(ParameterError):
@@ -310,7 +310,7 @@ class TestDataset:
             else:
                 assert np.array_equal(block, getattr(sample, name).ravel()), name
         # the split-out fields are views of the record, not copies
-        for name in ("channels", "theta", "beta", "gt_mesh_full", "gt_joints", "gt_rotation"):
+        for name in ("channels", "theta", "beta", "gt_rotation"):
             assert np.shares_memory(getattr(sample, name), sample.record), name
 
     def test_regeneration_bit_identical(self, tmp_path, mini_config, mini_assets):
