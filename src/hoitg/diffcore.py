@@ -706,7 +706,7 @@ def load_params(path):
             shape = tuple(int(n) for n in entry["shape"])
         except (TypeError, KeyError, ValueError) as exc:
             raise DataError(f"{path}: manifest field 'params[{i}]' needs name, shape and byte_offset: {exc}") from exc
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: numpy's int64 product wraps for huge shapes
         if o < 0 or min(shape, default=0) < 0 or o + 4 * count > len(payload):
             raise DataError(
                 f"{path}: manifest field 'params[{i}]' ({name!r}, {4 * count} bytes at offset {o}) "

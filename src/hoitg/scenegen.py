@@ -20,9 +20,9 @@ input tensor is rasterized by splatting projected vertices:
 Dataset layout on disk: ``manifest.json`` (with each record's CRC32) plus one
 binary record per sample, little-endian float32 blocks in the order of
 ``RECORD_BLOCKS``, with the float counts of ``_record_sizes``. A record holds
-the body's parameters, not its mesh. ``sample_scene`` builds that record and
-``load_sample`` reads it back; both hand it to ``_sample_from_record``, so a
-fresh scene equals its loaded record field for field.
+the input image and the scene's free parameters; ``_sample_from_record``
+derives every other target from it. ``sample_scene`` builds that record and
+``load_sample`` reads it back, so a fresh scene equals its loaded record.
 """
 
 from __future__ import annotations
@@ -500,49 +500,52 @@ class SceneSample:
     camera: Camera
     contact: np.ndarray
     template_id: str
-    seed: int
-    record: np.ndarray  # the float32 record the array fields above are split from
+    record: np.ndarray  # the float32 record: the stored fields above are views of it, the rest derive from it
 
 
 # The blocks of a scene record, in file order; all but the camera (s, tx, ty)
 # are the SceneSample fields of the same name.
-RECORD_BLOCKS = ("channels", "theta", "beta", "gt_rotation", "gt_axis_angle", "gt_translation", "camera",
-                 "contact")
+RECORD_BLOCKS = ("channels", "theta", "beta", "gt_axis_angle", "gt_translation", "camera")
+MAX_ANGLE = 0.75 * math.pi  # the largest object rotation the generator draws
 
 
 def _record_sizes(assets: SceneAssets):
     """The float count of each block in ``RECORD_BLOCKS``."""
     cfg = assets.config
-    return [5 * cfg.res * cfg.res, cfg.pose_dim, cfg.shape_dim, 9, 3, 3, 3, assets.body.num_vertices]
+    return [5 * cfg.res * cfg.res, cfg.pose_dim, cfg.shape_dim, 3, 3, 3]
 
 
-def _sample_from_record(raw: np.ndarray, template_id: str, seed: int, assets: SceneAssets) -> SceneSample:
-    """Split a float32 record into a SceneSample and derive the remaining targets."""
-    res = assets.config.res
+def _object_pose(obj: ObjectTemplate, aa):
+    """The float32 rotation of ``aa`` and the map from a float32 translation to the record's object vertices."""
+    rot = rodrigues(aa).astype(np.float32)
+    rotated = obj.mesh.vertices.astype(np.float64) @ rot.astype(np.float64).T
+    return rot, lambda trans: (rotated + trans).astype(np.float32)
+
+
+def _sample_from_record(raw: np.ndarray, template_id: str, assets: SceneAssets) -> SceneSample:
+    """Split a float32 record into a SceneSample and derive every other target from it."""
+    cfg = assets.config
     b = dict(zip(RECORD_BLOCKS, np.split(raw, np.cumsum(_record_sizes(assets))[:-1])))
     mesh_full, joints = body_forward(assets.body, b["theta"], b["beta"])
-    rot = b["gt_rotation"].reshape(3, 3)
-    trans = b["gt_translation"]
+    rot, place = _object_pose(assets.objects[template_id], b["gt_axis_angle"])
+    posed = place(b["gt_translation"])
     cam = Camera(scale=float(b["camera"][0]), translation=b["camera"][1:])
-    posed = assets.objects[template_id].mesh.vertices.astype(np.float64) @ rot.astype(np.float64).T + trans
-    ops = assets.operators
     return SceneSample(
-        channels=b["channels"].reshape(5, res, res),
+        channels=b["channels"].reshape(5, cfg.res, cfg.res),
         theta=b["theta"],
         beta=b["beta"],
         gt_mesh_full=mesh_full,
-        gt_mesh_mid=mesh_full[ops.mid_indices],
-        gt_mesh_coarse=mesh_full[ops.coarse_indices],
+        gt_mesh_mid=mesh_full[assets.operators.mid_indices],
+        gt_mesh_coarse=mesh_full[assets.operators.coarse_indices],
         gt_joints=joints,
         gt_joints_2d=project(joints, cam).astype(np.float32),
         gt_rotation=rot,
         gt_axis_angle=b["gt_axis_angle"],
-        gt_translation=trans,
-        gt_object_vertices=posed.astype(np.float32),
+        gt_translation=b["gt_translation"],
+        gt_object_vertices=posed,
         camera=cam,
-        contact=b["contact"] > 0.5,
+        contact=contact_map_gt(mesh_full, posed, cfg.contact_threshold),
         template_id=template_id,
-        seed=seed,
         record=raw,
     )
 
@@ -558,41 +561,37 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
     if template_id not in assets.objects:
         raise ParameterError(f"template {template_id!r} not in assets: {sorted(assets.objects)}")
     obj = assets.objects[template_id]
-    tmpl = obj.mesh.vertices.astype(np.float64)
     rng = np.random.default_rng(np.random.PCG64(seed))
 
     theta = rng.uniform(-cfg.param_range, cfg.param_range, size=cfg.pose_dim).astype(np.float32)
     beta = rng.uniform(-cfg.param_range, cfg.param_range, size=cfg.shape_dim).astype(np.float32)
-    mesh_full, joints = body_forward(assets.body, theta, beta)
-    mesh64 = mesh_full.astype(np.float64)
+    mesh64 = body_forward(assets.body, theta, beta)[0].astype(np.float64)
 
     cam = Camera(scale=float(rng.uniform(0.5, 0.8)), translation=rng.uniform(-0.1, 0.1, size=2))
 
     axis = _random_unit(rng)
-    angle = float(rng.uniform(0.0, 0.75 * math.pi))
-    aa = (axis * angle).astype(np.float64)
-    rot = rodrigues(aa)
-    rotated = tmpl @ rot.T
+    angle = float(rng.uniform(0.0, MAX_ANGLE))
+    aa = (axis * angle).astype(np.float32)
+    rot, place = _object_pose(obj, aa)
 
     want_contact = bool(rng.random() < cfg.contact_prob)
-    trans = None
     if want_contact:
         h_idx = int(rng.integers(0, assets.body.num_vertices))
-        o_idx = int(rng.integers(0, len(tmpl)))
+        o_idx = int(rng.integers(0, len(obj.mesh.vertices)))
         offset = float(rng.uniform(0.005, 0.02)) * _random_unit(rng)
-        trans = mesh64[h_idx] + offset - rot @ tmpl[o_idx]
+        trans = (mesh64[h_idx] + offset - rot @ obj.mesh.vertices[o_idx].astype(np.float64)).astype(np.float32)
     else:
-        # One tree over the posed body serves every try. The gap is the least
-        # body-object pair distance, the same bits from either side; past the
-        # bound it reads inf, which still clears the threshold.
+        # One tree over the posed body serves every try. Each gap, taken from the float32 object vertices
+        # the record yields, is the least body-object pair distance, the same bits the contact flags see
+        # from the other side; past the bound it reads inf, which still clears the threshold.
         target = cfg.contact_threshold * 3.0
         body_tree, bound = kernels.NearestTree(mesh64), _bound(cfg.contact_threshold)
         direction = gap = None
         for _ in range(50):
             direction = _random_unit(rng)
             anchor = mesh64[int(rng.integers(0, assets.body.num_vertices))]
-            trans = anchor + float(rng.uniform(target, 0.45)) * direction
-            gap = float(body_tree.distances(rotated + trans, bound).min())
+            trans = (anchor + float(rng.uniform(target, 0.45)) * direction).astype(np.float32)
+            gap = float(body_tree.distances(place(trans), bound).min())
             if gap > cfg.contact_threshold:
                 break
         else:
@@ -600,17 +599,15 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
             # until it clears the threshold; a fixed push can be absorbed by a far-off translation
             push = target - gap
             while gap <= cfg.contact_threshold:
-                trans = trans + push * direction
-                gap = float(body_tree.distances(rotated + trans, bound).min())
+                trans = (trans + push * direction).astype(np.float32)
+                gap = float(body_tree.distances(place(trans), bound).min())
                 push *= 2.0
 
-    posed = rotated + trans
-    contact = contact_map_gt(mesh64, posed, cfg.contact_threshold)
-    channels = render_channels(mesh64, posed, cam, cfg.res, cfg.res)
-    blocks = {"channels": channels, "theta": theta, "beta": beta, "gt_rotation": rot, "gt_axis_angle": aa,
-              "gt_translation": trans, "camera": [cam.scale, *cam.translation], "contact": contact}
+    channels = render_channels(mesh64, place(trans), cam, cfg.res, cfg.res)
+    blocks = {"channels": channels, "theta": theta, "beta": beta, "gt_axis_angle": aa, "gt_translation": trans,
+              "camera": [cam.scale, *cam.translation]}
     record = np.concatenate([np.ravel(blocks[name]) for name in RECORD_BLOCKS], dtype="<f4")
-    return _sample_from_record(record, template_id, seed, assets)
+    return _sample_from_record(record, template_id, assets)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +615,7 @@ def sample_scene(seed: int, template_id: str, assets: SceneAssets) -> SceneSampl
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
-DATASET_FORMAT = "hoitg-dataset-v2"
+DATASET_FORMAT = "hoitg-dataset-v3"
 
 
 def _record_name(i):
@@ -727,9 +724,9 @@ def _block_at(sizes, index):
 
 
 def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> SceneSample:
-    """Read record ``index``, check its size, floats, rotation (and its axis-angle),
-    flags, masks, image channels 0-2 and body parameters, split it into a
-    SceneSample, and check its CRC32 against the manifest's."""
+    """Read record ``index``, check its size, floats, masks, image channels 0-2,
+    body parameters and object angle, split it into a SceneSample, and check
+    its CRC32 against the manifest's."""
     path = os.path.join(data_dir, _record_name(index))
     if not os.path.exists(path):
         raise DataError(f"missing record {path}")
@@ -743,16 +740,9 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
     if not finite.all():
         raise DataError(f"record {path}: non-finite value in block {_block_at(sizes, np.argmin(finite))!r}")
     b = dict(zip(RECORD_BLOCKS, np.split(raw, np.cumsum(sizes)[:-1])))
-    rot = b["gt_rotation"].reshape(3, 3).astype(np.float64)  # float64 squares of float32 cannot overflow
-    if not (np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-4 and abs(np.linalg.det(rot) - 1.0) <= 1e-4):
-        raise DataError(f"record {path}: block 'gt_rotation' is not a rotation (orthonormal, det +1)")
-    if not np.abs(rodrigues(b["gt_axis_angle"]) - rot).max() <= 1e-4:
-        raise DataError(f"record {path}: block 'gt_axis_angle' does not give the stored 'gt_rotation'")
     chans = b["channels"].reshape(5, -1)
-    for name, flags, what in (("contact", b["contact"], "contact flag"),
-                              ("channels", chans[3:], "mask value (channels 3-4)")):
-        if not np.isin(flags, (0.0, 1.0)).all():
-            raise DataError(f"record {path}: block {name!r} holds a {what} that is not 0 or 1")
+    if not np.isin(chans[3:], (0.0, 1.0)).all():
+        raise DataError(f"record {path}: block 'channels' holds a mask value (channels 3-4) that is not 0 or 1")
     if not (chans[:3].min() >= 0.0 and chans[:3].max() <= 1.0):
         raise DataError(f"record {path}: block 'channels' holds a depth or shading value (channels 0-2) "
                         f"outside [0, 1]")
@@ -760,9 +750,10 @@ def load_sample(data_dir, index: int, manifest: dict, assets: SceneAssets) -> Sc
     for name in ("theta", "beta"):
         if not np.abs(b[name]).max() <= limit:
             raise DataError(f"record {path}: block {name!r} holds a value outside +-'param_range' ({limit})")
+    if not np.linalg.norm(b["gt_axis_angle"].astype(np.float64)) <= MAX_ANGLE * (1.0 + 1e-6):  # float32 slack
+        raise DataError(f"record {path}: block 'gt_axis_angle' holds an angle above 0.75 pi")
     try:
-        sample = _sample_from_record(raw, manifest["sample_templates"][index], manifest["sample_seeds"][index],
-                                     assets)
+        sample = _sample_from_record(raw, manifest["sample_templates"][index], assets)
     except ParameterError as exc:
         raise DataError(f"record {path}: {exc}") from exc
     # last, so that each check above names the block it rejects

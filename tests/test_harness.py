@@ -46,6 +46,11 @@ def rewrite_checkpoint_manifest(src, dst, edit, payload=None):
     return dst
 
 
+def _first_matrix(manifest):
+    """The first parameter entry of a checkpoint manifest with two or more axes."""
+    return next(e for e in manifest["params"] if len(e["shape"]) > 1)
+
+
 def tiny_train_config(data_dir, ckpt_path, **kw):
     defaults = dict(
         epochs=2,
@@ -285,7 +290,7 @@ class TestEvaluate:
         assert report.init_cd_human_cm is not None
         assert os.path.exists(report_path)
         assert os.path.exists(report_path + ".txt")
-        data = json.loads(open(report_path).read())
+        data = json.loads(pathlib.Path(report_path).read_text())
         assert data["cd_human_cm"] == report.cd_human_cm
 
     def test_dataset_config_mismatch_rejected(self, mini_dataset, tmp_path):
@@ -326,7 +331,7 @@ class TestExportAttention:
         with open(prefix + ".csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == len(vec) + 1
-        pgm = open(prefix + ".pgm", "rb").read()
+        pgm = pathlib.Path(prefix + ".pgm").read_bytes()
         assert pgm.startswith(b"P5\n")
 
     def test_full_rows_sum_to_one_so_subrows_bounded(self, mini_dataset, tmp_path):
@@ -713,18 +718,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "manifest" in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda e: e.update(name=e["name"] + "x"),
-        lambda e: e.update(shape=e["shape"][::-1]),
-    ], ids=["renamed", "reshaped"])
-    def test_exit_code_checkpoint_params_not_the_model(self, mini_dataset, mini_checkpoint, tmp_path, capsys, edit):
-        """A stored parameter the train config's model lacks is a broken file (exit 3), not a usage error."""
-        ckpt = rewrite_checkpoint_manifest(mini_checkpoint, tmp_path / "params.ckpt",
-                                           lambda m: edit(next(e for e in m["params"] if len(e["shape"]) > 1)))
+    @pytest.mark.parametrize("edit, field", [
+        (lambda m: (e := _first_matrix(m)).update(name=e["name"] + "x"), "'params'"),
+        (lambda m: (e := _first_matrix(m)).update(shape=e["shape"][::-1]), "'params'"),
+        # 2**64 floats: a product that wraps to 0 in int64 would pass the fit check
+        (lambda m: m["params"][0].update(shape=[2**32, 2**32]), "'params[0]'"),
+    ], ids=["renamed", "reshaped", "overflowing"])
+    def test_exit_code_checkpoint_params_not_the_model(self, mini_dataset, mini_checkpoint, tmp_path, capsys,
+                                                       edit, field):
+        """A stored parameter the train config's model lacks, or one that does not fit the payload, is a
+        broken file (exit 3), not a usage error."""
+        ckpt = rewrite_checkpoint_manifest(mini_checkpoint, tmp_path / "params.ckpt", edit)
         rc = cli.main(["eval", "--data", mini_dataset, "--ckpt", str(ckpt), "--report", str(tmp_path / "rep.json")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "'params'" in err
+        assert str(ckpt) in err and field in err
 
     # each case edits the manifest dict; "half" and "list" replace the file
     MANIFEST_FAULTS = {
@@ -733,6 +741,7 @@ class TestCli:
         "format-missing": (lambda m: m.pop("format"), "'format'"),
         "format-other": (lambda m: m.update(format="hoitg-dataset-v0"), "'format'"),
         "format-v1": (lambda m: m.update(format="hoitg-dataset-v1"), "'format'"),  # records held the body mesh
+        "format-v2": (lambda m: m.update(format="hoitg-dataset-v2"), "'format'"),  # and rotation, contact flags
         "num-missing": (lambda m: m.pop("num"), "'num'"),
         "num-str": (lambda m: m.update(num="6"), "'num'"),
         "num-neg": (lambda m: m.update(num=-1), "'num'"),
@@ -782,13 +791,14 @@ class TestCli:
         edit(np.fromfile(path, dtype="<f4")).tofile(path)
         return str(data), str(path)
 
-    @pytest.mark.parametrize("cut", range(2 * len(scenegen.RECORD_BLOCKS)))
+    @pytest.mark.parametrize("cut", range(3 * len(scenegen.RECORD_BLOCKS)))
     def test_exit_code_truncated_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, cut):
-        """An even ``cut`` ends the record where a block starts, an odd one halfway into it."""
-        block, half = divmod(cut, 2)
+        """``cut`` ends the record in block ``cut // 3``: where it starts, halfway into it, or one float
+        before its end."""
+        block, at = divmod(cut, 3)
         _, assets, _ = scenegen.load_dataset(mini_dataset)
         sizes = scenegen._record_sizes(assets)
-        end = sum(sizes[:block]) + half * (sizes[block] // 2)
+        end = sum(sizes[:block]) + (0, sizes[block] // 2, sizes[block] - 1)[at]
         data, path = self._write_record(mini_dataset, tmp_path, lambda raw: raw[:end])
         rc = cli.main(["eval", "--data", data, "--ckpt", str(mini_checkpoint),
                        "--report", str(tmp_path / "rep.json")])
@@ -839,24 +849,18 @@ class TestCli:
         assert path in err and "camera scale" in err
 
     @pytest.mark.parametrize("block, edit", [
-        ("gt_rotation", lambda b, res: np.put(b, 0, 3e38)),
-        ("gt_rotation", lambda b, res: np.put(b, range(3), 1.01 * b[:3])),  # a stretched row
-        ("gt_rotation", lambda b, res: np.put(b, range(3), -b[:3])),  # a reflection, det -1
-        ("contact", lambda b, res: np.put(b, 0, 0.5)),
-        ("contact", lambda b, res: np.put(b, -1, 2.0)),
         ("channels", lambda b, res: np.put(b, 3 * res * res + 5, 0.5)),  # human mask
         ("channels", lambda b, res: np.put(b, 4 * res * res + 7, -1.0)),  # object mask
         ("theta", lambda b, res: np.put(b, 0, 3e38)),  # finite, but it poses a body 1e37 m across
         ("theta", lambda b, res: np.put(b, 0, 1.01 * scenegen.SceneConfig.param_range)),
         ("beta", lambda b, res: np.put(b, 0, -1.01 * scenegen.SceneConfig.param_range)),
         ("gt_axis_angle", lambda b, res: np.put(b, 0, 3e38)),
-        ("gt_axis_angle", lambda b, res: np.put(b, 1, b[1] + 0.01)),  # not the stored rotation's axis-angle
+        ("gt_axis_angle", lambda b, res: np.put(b, range(3), [0.75 * np.pi * (1 + 1e-5), 0.0, 0.0])),
         ("channels", lambda b, res: np.put(b, 0, 3e38)),  # human depth
         ("channels", lambda b, res: np.put(b, res * res + 9, -0.5)),  # object depth
         ("channels", lambda b, res: np.put(b, 2 * res * res + 3, 1.5)),  # shading
-    ], ids=["rot-huge", "rot-stretched", "rot-reflection", "contact-half", "contact-two", "mask3", "mask4",
-            "theta-huge", "theta-range", "beta-range", "axis-angle-huge", "axis-angle-off", "depth-huge",
-            "depth-neg", "shading-1.5"])
+    ], ids=["mask3", "mask4", "theta-huge", "theta-range", "beta-range", "axis-angle-huge", "axis-angle-range",
+            "depth-huge", "depth-neg", "shading-1.5"])
     def test_exit_code_impossible_record(self, mini_dataset, mini_checkpoint, tmp_path, capsys, block, edit):
         _, assets, _ = scenegen.load_dataset(mini_dataset)
         sizes = scenegen._record_sizes(assets)
@@ -874,15 +878,18 @@ class TestCli:
         assert path in err and f"block {block!r}" in err
 
     def test_body_parameters_at_the_range_load(self, mini_dataset, mini_checkpoint, tmp_path, capsys):
-        """theta and beta at exactly +-float32(param_range), the generator's extremes, pass the range check;
-        the edit is caught by the record's CRC32 until the manifest's entry is refreshed."""
+        """theta and beta at exactly +-float32(param_range) and an object angle of float32(0.75 pi), the
+        generator's extremes, pass the range checks; the edit is caught by the record's CRC32 until the
+        manifest's entry is refreshed."""
         _, assets, _ = scenegen.load_dataset(mini_dataset)
         sizes = scenegen._record_sizes(assets)
-        theta, beta = (sum(sizes[:scenegen.RECORD_BLOCKS.index(name)]) for name in ("theta", "beta"))
+        theta, beta, aa = (sum(sizes[:scenegen.RECORD_BLOCKS.index(name)])
+                           for name in ("theta", "beta", "gt_axis_angle"))
         limit = np.float32(assets.config.param_range)
 
         def edit(raw):
             raw[theta], raw[beta] = limit, -limit
+            raw[aa:aa + 3] = np.float32([0.0, 0.0, -0.75 * np.pi])
             return raw
 
         data, path = self._write_record(mini_dataset, tmp_path, edit)

@@ -97,10 +97,18 @@ class TestSampleScene:
             assert np.abs(s.theta).max() <= 3.0
             assert np.abs(s.beta).max() <= 3.0
 
-    def test_contact_map_consistent_with_rule(self, mini_assets):
-        s = sg.sample_scene(sg.mix_seed(9, 4), "chair", mini_assets)
-        expected = sg.contact_map_gt(s.gt_mesh_full, s.gt_object_vertices, 0.05)
-        assert np.array_equal(s.contact, expected)
+    def test_contact_map_consistent_with_rule(self, mini_config):
+        """The derived targets follow the record's geometry exactly, over every template in both contact
+        modes: flags by the contact rule on the float32 meshes, the rotation as the float32 Rodrigues map
+        of the stored axis-angle."""
+        for contact_prob in (0.0, 1.0):
+            assets = sg.build_assets(dataclasses.replace(mini_config, contact_prob=contact_prob))
+            for i in range(24):
+                s = sg.sample_scene(sg.mix_seed(9, i), sg.list_object_templates()[i % 3], assets)
+                expected = sg.contact_map_gt(s.gt_mesh_full, s.gt_object_vertices, assets.config.contact_threshold)
+                assert np.array_equal(s.contact, expected), (contact_prob, i)
+                assert s.contact.any() == (contact_prob == 1.0), (contact_prob, i)
+                assert np.array_equal(s.gt_rotation, sg.rodrigues(s.gt_axis_angle).astype(np.float32)), i
 
     def test_mesh_consistent_with_params(self, mini_assets):
         s = sg.sample_scene(sg.mix_seed(3, 1), "box", mini_assets)
@@ -310,7 +318,7 @@ class TestDataset:
             else:
                 assert np.array_equal(block, getattr(sample, name).ravel()), name
         # the split-out fields are views of the record, not copies
-        for name in ("channels", "theta", "beta", "gt_rotation"):
+        for name in ("channels", "theta", "beta", "gt_axis_angle"):
             assert np.shares_memory(getattr(sample, name), sample.record), name
 
     def test_regeneration_bit_identical(self, tmp_path, mini_config, mini_assets):
