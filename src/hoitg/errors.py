@@ -42,9 +42,8 @@ class DataError(RuntimeError):
 class NumericAbort(RuntimeError):
     """A non-finite loss or a degenerate forward pass; carries the offending batch."""
 
-    def __init__(self, message, step=None, batch_indices=None):
+    def __init__(self, message, batch_indices=None):
         super().__init__(message)
-        self.step = step
         self.batch_indices = list(batch_indices) if batch_indices is not None else []
 
 

@@ -92,9 +92,8 @@ def train(cfg: TrainConfig, sample_indices=None, quiet=False) -> TrainResult:
         raise ConfigError("train: checkpoint_path not set")
     manifest, assets, loader = scenegen.load_dataset(cfg.data_dir)
     _check_templates(cfg, manifest)
-    samples = [loader(i) for i in range(manifest["num"])]
-    if sample_indices is not None:
-        samples = [samples[i] for i in sample_indices]
+    indices = range(manifest["num"]) if sample_indices is None else sample_indices
+    samples = [loader(i) for i in indices]
     if len(samples) == 0:
         raise DataError("train: dataset is empty")
 
@@ -141,11 +140,11 @@ def train(cfg: TrainConfig, sample_indices=None, quiet=False) -> TrainResult:
                     tot, report = losses.scene_loss(rec, s, assets, cfg.weights)
                 except (DegeneracyError, np.linalg.LinAlgError) as exc:
                     raise NumericAbort(f"forward pass degenerated at step {step} (batch {batch}): {exc}",
-                                       step=step, batch_indices=batch) from exc
+                                       batch_indices=batch) from exc
                 loss_sum = tot.data if loss_sum is None else loss_sum + tot.data
                 if not np.isfinite(loss_sum).all():
                     raise NumericAbort(f"non-finite loss sum {float(loss_sum.reshape(()))} after sample {i} "
-                                       f"at step {step} (batch {batch})", step=step, batch_indices=batch)
+                                       f"at step {step} (batch {batch})", batch_indices=batch)
                 for name, val in report.terms.items():
                     term_sums[name] += val
                 dc.backward(dc.scale(tot, 1.0 / len(batch)))
@@ -252,7 +251,6 @@ def gt_reconstruction(sample, assets):
         human_full=dc.tensor(sample.gt_mesh_full),
         object_vertices=dc.tensor(sample.gt_object_vertices),
         pose=pose,
-        template_id=sample.template_id,
     )
 
 

@@ -106,20 +106,24 @@ def gelu_grad(x, phi):
     return phi + x * pdf
 
 
-def bilinear_forward(grid, u, v):
-    """Sample grid (C,h,w) at continuous pixel coords (u along w, v along h).
-
-    Coordinates are clamped to the border. Returns (n, C).
-    """
-    c, h, w = grid.shape
+def _taps(grid, u, v):
+    """Border-clamped bilinear taps of grid (C,h,w): corner indices u0, v0, u1, v1 and fractions fu, fv."""
+    _, h, w = grid.shape
     uc = np.clip(u, 0.0, w - 1.0)
     vc = np.clip(v, 0.0, h - 1.0)
     u0 = np.floor(uc).astype(np.int64)
     v0 = np.floor(vc).astype(np.int64)
     u1 = np.minimum(u0 + 1, w - 1)
     v1 = np.minimum(v0 + 1, h - 1)
-    fu = (uc - u0).astype(grid.dtype)
-    fv = (vc - v0).astype(grid.dtype)
+    return u0, v0, u1, v1, (uc - u0).astype(grid.dtype), (vc - v0).astype(grid.dtype)
+
+
+def bilinear_forward(grid, u, v):
+    """Sample grid (C,h,w) at continuous pixel coords (u along w, v along h).
+
+    Coordinates are clamped to the border. Returns (n, C).
+    """
+    u0, v0, u1, v1, fu, fv = _taps(grid, u, v)
     g = grid.transpose(1, 2, 0)  # (h, w, C)
     out = (
         g[v0, u0] * ((1 - fv) * (1 - fu))[:, None]
@@ -135,16 +139,7 @@ def bilinear_backward(grid, u, v, dout):
 
     Returns (dgrid, du, dv); du/dv are zero where the coordinate was clamped.
     """
-    c, h, w = grid.shape
-    uc = np.clip(u, 0.0, w - 1.0)
-    vc = np.clip(v, 0.0, h - 1.0)
-    u0 = np.floor(uc).astype(np.int64)
-    v0 = np.floor(vc).astype(np.int64)
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    fu = (uc - u0).astype(grid.dtype)
-    fv = (vc - v0).astype(grid.dtype)
-
+    u0, v0, u1, v1, fu, fv = _taps(grid, u, v)
     dgrid = np.zeros_like(grid)
     dg = dgrid.transpose(1, 2, 0)  # view (h, w, C)
     np.add.at(dg, (v0, u0), dout * ((1 - fv) * (1 - fu))[:, None])
@@ -157,6 +152,7 @@ def bilinear_backward(grid, u, v, dout):
     ddv = (1 - fu)[:, None] * (g[v1, u0] - g[v0, u0]) + fu[:, None] * (g[v1, u1] - g[v0, u1])
     du = (ddu * dout).sum(axis=1)
     dv = (ddv * dout).sum(axis=1)
+    _, h, w = grid.shape
     inside_u = (u >= 0.0) & (u <= w - 1.0)
     inside_v = (v >= 0.0) & (v <= h - 1.0)
     du = np.where(inside_u, du, 0.0).astype(grid.dtype)

@@ -72,7 +72,7 @@ def f1_score(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
 
 
-def contact_pr(pred_human, pred_object, gt_contact, threshold: float = 0.05):
+def contact_pr(pred_human, pred_object, gt_contact, threshold: float):
     """Contact precision/recall/f1 of predicted meshes against a GT map."""
     gt_contact = np.asarray(gt_contact, dtype=bool)
     pred_human = np.asarray(pred_human, dtype=np.float64)

@@ -93,14 +93,6 @@ class InitEstimates:
 
 
 @dataclass
-class QueryTokens:
-    """Token matrix (J+V0+64, C+3); last 3 columns are init coordinates."""
-
-    tokens: dc.Tensor
-    boundaries: tuple  # (J, J+V0, J+V0+64)
-
-
-@dataclass
 class Reconstruction:
     """Full network output for one scene."""
 
@@ -111,7 +103,6 @@ class Reconstruction:
     human_full: dc.Tensor      # (V2, 3)
     object_vertices: dc.Tensor  # (64, 3)
     pose: meshkit.RigidPose
-    template_id: str
     attention: list | None = None  # [block][layer] -> (heads, N, N)
 
 
@@ -154,8 +145,7 @@ class HoiReconstructor:
         body = assets.body
         self.num_joints = body.num_joints
         self.v0, self.v1, self.v2 = assets.operators.sizes
-        self.num_obj = scenegen.OBJECT_VERTEX_COUNT
-        self.num_tokens = self.num_joints + self.v0 + self.num_obj
+        self.num_tokens = self.num_joints + self.v0 + scenegen.OBJECT_VERTEX_COUNT
         self.token_width = cfg.feat_channels + 3
         # template id -> (64, 64) row-normalized float32 KNN graph
         self.object_adjacency = {
@@ -249,8 +239,8 @@ class HoiReconstructor:
     def _dense(self, name, x):
         return dc.linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def init_head(self, channels):
-        """Backbone + four linear heads; returns (feature grid, InitEstimates)."""
+    def init_head(self, channels, template_id: str):
+        """Backbone, four linear heads and the posed template; returns (feature grid, InitEstimates)."""
         arr = np.asarray(channels, dtype=np.float32)
         res = self.assets.config.res
         if arr.shape != (5, res, res):
@@ -281,6 +271,8 @@ class HoiReconstructor:
 
         mesh_full, joints = scenegen.body_forward(body, theta, beta)
         mesh_coarse = dc.gather_rows(mesh_full, self.assets.operators.coarse_indices)
+        tmpl = self.assets.objects[template_id].mesh.vertices
+        object_vertices = dc.linear(dc.tensor(tmpl), dc.transpose(rodrigues_t(axis_angle)), translation)
         return grid, InitEstimates(
             theta=theta,
             beta=beta,
@@ -291,24 +283,20 @@ class HoiReconstructor:
             joints=joints,
             mesh_coarse=mesh_coarse,
             mesh_full=mesh_full,
-            object_vertices=None,  # filled by build_queries with the template
+            object_vertices=object_vertices,
         )
 
-    def build_queries(self, grid, init: InitEstimates, template_id: str) -> QueryTokens:
-        """Project init meshes, grid-sample features, append coordinates."""
-        tmpl = self.assets.objects[template_id].mesh.vertices
-        rot = rodrigues_t(init.axis_angle)
-        init.object_vertices = dc.linear(dc.tensor(tmpl), dc.transpose(rot), init.translation)
+    def build_queries(self, grid, init: InitEstimates) -> dc.Tensor:
+        """Project init meshes, grid-sample features, append coordinates: (J+V0+64, C+3) tokens."""
         coords = dc.concat_rows([init.joints, init.mesh_coarse, init.object_vertices])
         pts = scenegen.project_t(coords, init.cam_scale, init.cam_trans)
-        feats = dc.grid_sample(grid, pts)
-        tokens = dc.concat_cols([feats, coords])
-        j = self.num_joints
-        return QueryTokens(tokens=tokens, boundaries=(j, j + self.v0, j + self.v0 + self.num_obj))
+        return dc.concat_cols([dc.grid_sample(grid, pts), coords])
 
-    def _partition_block(self, x, base, kind, enabled, adjacency):
-        if enabled:
-            return graph_residual_block(x, adjacency, self.params[f"{base}.{kind}.wg"])
+    def _partition_block(self, x, base, kind, adjacency=None):
+        """A graph residual block where ``_build_params`` placed one, an MLP otherwise."""
+        wg = self.params.get(f"{base}.{kind}.wg")
+        if wg is not None:
+            return graph_residual_block(x, adjacency, wg)
         xn = dc.layer_norm(x, self.params[f"{base}.{kind}.ln.g"], self.params[f"{base}.{kind}.ln.b"])
         hmid = dc.gelu(self._dense(f"{base}.{kind}.fc1", xn))
         return dc.add(x, self._dense(f"{base}.{kind}.fc2", hmid))
@@ -325,8 +313,6 @@ class HoiReconstructor:
                 f"expected ({self.num_tokens}, {expected})"
             )
         j0, h1, n = self.num_joints, self.num_joints + self.v0, self.num_tokens
-        hum_graph, obj_graph = ABLATION_VARIANTS[cfg.graph]
-        hum_adj = self.assets.human_adjacency
         obj_adj = self.object_adjacency[template_id]
         x = self._dense(f"block{block_index}.entry", tokens)
         attn_maps = []
@@ -340,24 +326,23 @@ class HoiReconstructor:
             x = dc.add(x, self._dense(f"{base}.attn.wo", att))
             if retain_attention:
                 attn_maps.append(weights)
-            jt = self._partition_block(dc.rows(x, 0, j0), base, "jnt", False, None)
-            hm = self._partition_block(dc.rows(x, j0, h1), base, "hum", hum_graph[block_index], hum_adj)
-            ob = self._partition_block(dc.rows(x, h1, n), base, "obj", obj_graph[block_index], obj_adj)
+            jt = self._partition_block(dc.rows(x, 0, j0), base, "jnt")
+            hm = self._partition_block(dc.rows(x, j0, h1), base, "hum", self.assets.human_adjacency)
+            ob = self._partition_block(dc.rows(x, h1, n), base, "obj", obj_adj)
             x = dc.concat_rows([jt, hm, ob])
         return x, attn_maps
 
     def forward(self, channels, template_id: str, retain_attention: bool = False) -> Reconstruction:
         if template_id not in self.assets.objects:
             raise ParameterError(f"unknown template {template_id!r}")
-        grid, init = self.init_head(channels)
-        queries = self.build_queries(grid, init, template_id)
-        x = queries.tokens
+        grid, init = self.init_head(channels, template_id)
+        x = self.build_queries(grid, init)
         attention = [] if retain_attention else None
         for b in range(3):
             x, maps = self.encoder_block(x, b, template_id, retain_attention)
             if retain_attention:
                 attention.append(maps)
-        j0, h1, n = queries.boundaries
+        j0, h1, n = self.num_joints, self.num_joints + self.v0, self.num_tokens
         x = dc.layer_norm(x, self.params["out.norm.g"], self.params["out.norm.b"])
         joints = self._dense("head.jnt", dc.rows(x, 0, j0))
         human_coarse = self._dense("head.hum", dc.rows(x, j0, h1))
@@ -375,6 +360,5 @@ class HoiReconstructor:
             human_full=human_full,
             object_vertices=obj,
             pose=pose,
-            template_id=template_id,
             attention=attention,
         )

@@ -140,7 +140,6 @@ class ToyBodyModel:
     pose_basis: np.ndarray        # (V2, 3, P)
     shape_basis: np.ndarray       # (V2, 3, S)
     joint_regressor: np.ndarray   # (J, V2), rows sum to 1
-    seed: int
 
     @property
     def num_vertices(self):
@@ -171,7 +170,10 @@ class ToyBodyModel:
         )
 
 
-def _smooth_basis(verts, dim, amp, rng):
+BASIS_AMPLITUDE = 0.05  # meters a vertex moves, at most, per unit pose or shape parameter
+
+
+def _smooth_basis(verts, dim, rng):
     """Smooth deterministic displacement fields, one per parameter."""
     v2 = verts.shape[0]
     basis = np.zeros((v2, 3, dim), dtype=np.float64)
@@ -181,18 +183,17 @@ def _smooth_basis(verts, dim, amp, rng):
         freq = rng.uniform(1.5, 4.5, size=3)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         profile = np.sin(verts @ freq + phase)
-        basis[:, :, p] = amp * profile[:, None] * direction[None, :]
+        basis[:, :, p] = BASIS_AMPLITUDE * profile[:, None] * direction[None, :]
     return basis
 
 
-def build_toy_body(seed: int, parts=None, pose_dim: int = 24, shape_dim: int = 4,
-                   pose_amp: float = 0.05, shape_amp: float = 0.05) -> ToyBodyModel:
+def build_toy_body(seed: int, parts=None, pose_dim: int = 24, shape_dim: int = 4) -> ToyBodyModel:
     """Deterministically derive the full body model from a seed."""
     mesh = build_body_template(parts)
     verts = mesh.vertices.astype(np.float64)
     rng = np.random.default_rng(seed)
-    pose_basis = _smooth_basis(verts, pose_dim, pose_amp, rng)
-    shape_basis = _smooth_basis(verts, shape_dim, shape_amp, rng)
+    pose_basis = _smooth_basis(verts, pose_dim, rng)
+    shape_basis = _smooth_basis(verts, shape_dim, rng)
 
     anchors = np.asarray([a for _, a in JOINT_ANCHORS], dtype=np.float64)
     d2 = ((verts[None, :, :] - anchors[:, None, :]) ** 2).sum(axis=2)
@@ -207,7 +208,6 @@ def build_toy_body(seed: int, parts=None, pose_dim: int = 24, shape_dim: int = 4
         pose_basis=pose_basis.astype(np.float32),
         shape_basis=shape_basis.astype(np.float32),
         joint_regressor=regressor.astype(np.float32),
-        seed=seed,
     )
 
 
@@ -389,7 +389,7 @@ def render_channels(human_points, object_points, cam: Camera, height: int, width
     return chans
 
 
-def contact_map_gt(human_vertices, object_vertices, threshold: float = 0.05):
+def contact_map_gt(human_vertices, object_vertices, threshold: float):
     """Boolean per-human-vertex flag: within ``threshold`` meters of the object."""
     if threshold <= 0:
         raise ParameterError(f"contact threshold must be positive, got {threshold}")

@@ -303,7 +303,9 @@ def test_criterion_4_zero_loss(mini_assets):
         rec = harness.gt_reconstruction(sample, mini_assets)
         total, report = losses.scene_loss(rec, sample, mini_assets, losses.LossWeights())
         worst_total = max(worst_total, abs(float(total.data.reshape(()))))
-        p, r, f1 = metrics.contact_pr(sample.gt_mesh_full, sample.gt_object_vertices, sample.contact)
+        p, r, f1 = metrics.contact_pr(
+            sample.gt_mesh_full, sample.gt_object_vertices, sample.contact, mini_assets.config.contact_threshold
+        )
         assert (p, r, f1) == (1.0, 1.0, 1.0)
         assert metrics.chamfer(sample.gt_mesh_full, sample.gt_mesh_full) == 0.0
     _report(4, worst_total < 1e-6, f"GT-as-prediction: max |total loss| {worst_total:.2e}; contact p=r=f1=1")
@@ -319,12 +321,12 @@ def test_criterion_5_architecture_contracts(default_assets):
     net = model.HoiReconstructor(default_assets, cfg, seed=0)
     sample = scenegen.sample_scene(scenegen.mix_seed(505, 0), "box", default_assets)
 
-    grid, init = net.init_head(sample.channels)
-    queries = net.build_queries(grid, init, "box")
+    grid, init = net.init_head(sample.channels, "box")
+    tokens = net.build_queries(grid, init)
     j = default_assets.body.num_joints
     v0 = default_assets.operators.sizes[0]
     expected_shape = (j + v0 + 64, cfg.feat_channels + 3)
-    assert queries.tokens.data.shape == expected_shape
+    assert tokens.data.shape == expected_shape
 
     assert cfg.dims == (128, 64, 32)
     assert all(a > b for a, b in zip(cfg.dims, cfg.dims[1:]))

@@ -226,6 +226,17 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             harness.train(cfg, quiet=True)
 
+    def test_trains_on_the_chosen_records_only(self, mini_dataset, tmp_path):
+        # record 2 is cut short; a run on records 0 and 1 never reads it and logs what the intact data gives
+        data = tmp_path / "ds"
+        shutil.copytree(mini_dataset, data)
+        np.fromfile(data / "sample_00002.bin", dtype="<f4")[:100].tofile(data / "sample_00002.bin")
+        harness.train(tiny_train_config(str(data), tmp_path / "cut.ckpt"), sample_indices=[0, 1], quiet=True)
+        harness.train(tiny_train_config(mini_dataset, tmp_path / "whole.ckpt"), sample_indices=[0, 1], quiet=True)
+        assert (tmp_path / "cut.ckpt.loss.csv").read_bytes() == (tmp_path / "whole.ckpt.loss.csv").read_bytes()
+        with pytest.raises(DataError, match="sample_00002"):
+            harness.train(tiny_train_config(str(data), tmp_path / "all.ckpt"), quiet=True)
+
     def test_loss_decreases_on_tiny_overfit(self, mini_dataset, tmp_path):
         cfg = tiny_train_config(
             mini_dataset, tmp_path / "g.ckpt", epochs=1, steps_per_epoch=40, batch_size=2,

@@ -65,7 +65,9 @@ class TestChamfer:
 class TestContactPR:
     def test_gt_prediction_perfect(self, mini_assets):
         s = scenegen.sample_scene(scenegen.mix_seed(61, 0), "box", mini_assets)
-        p, r, f1 = metrics.contact_pr(s.gt_mesh_full, s.gt_object_vertices, s.contact)
+        p, r, f1 = metrics.contact_pr(
+            s.gt_mesh_full, s.gt_object_vertices, s.contact, mini_assets.config.contact_threshold
+        )
         assert (p, r, f1) == (1.0, 1.0, 1.0)
 
     def test_distant_object_zero_recall(self, mini_assets):
@@ -76,7 +78,9 @@ class TestContactPR:
                 s = cand
                 break
         assert s is not None
-        p, r, f1 = metrics.contact_pr(s.gt_mesh_full, s.gt_object_vertices + 10.0, s.contact)
+        p, r, f1 = metrics.contact_pr(
+            s.gt_mesh_full, s.gt_object_vertices + 10.0, s.contact, mini_assets.config.contact_threshold
+        )
         assert r == 0.0
         assert f1 == 0.0
 
@@ -88,7 +92,7 @@ class TestContactPR:
         human[3:] = [[5, 5, 5], [6, 6, 6], [7, 7, 7]]
         obj = np.array([[0.0, 0.0, 0.02]])
         gt = np.array([True, True, False, True, True, False])
-        p, r, f1 = metrics.contact_pr(human, obj, gt)
+        p, r, f1 = metrics.contact_pr(human, obj, gt, 0.05)
         assert abs(p - 2 / 3) < 1e-12
         assert abs(r - 1 / 2) < 1e-12
         assert abs(f1 - 4 / 7) < 1e-12
@@ -97,27 +101,28 @@ class TestContactPR:
         human = np.full((4, 3), 10.0)
         obj = np.zeros((2, 3))
         # nothing predicted, nothing in gt: perfect by convention, f1 = 2pr/(p+r)
-        p, r, f1 = metrics.contact_pr(human, obj, np.zeros(4, dtype=bool))
+        p, r, f1 = metrics.contact_pr(human, obj, np.zeros(4, dtype=bool), 0.05)
         assert (p, r, f1) == (1.0, 1.0, 1.0)
         # nothing predicted but gt has contacts: no false alarms, zero recall
-        p, r, f1 = metrics.contact_pr(human, obj, np.array([True, False, False, False]))
+        p, r, f1 = metrics.contact_pr(human, obj, np.array([True, False, False, False]), 0.05)
         assert (p, r, f1) == (1.0, 0.0, 0.0)
         # predictions exist, gt empty: zero precision
         near = np.zeros((4, 3))
-        p, r, f1 = metrics.contact_pr(near, obj, np.zeros(4, dtype=bool))
+        p, r, f1 = metrics.contact_pr(near, obj, np.zeros(4, dtype=bool), 0.05)
         assert (p, r, f1) == (0.0, 1.0, 0.0)
 
     def test_permutation_invariance(self, mini_assets, rng):
         s = scenegen.sample_scene(scenegen.mix_seed(63, 2), "tube", mini_assets)
         perm = rng.permutation(len(s.gt_mesh_full))
-        base = metrics.contact_pr(s.gt_mesh_full, s.gt_object_vertices, s.contact)
-        shuffled = metrics.contact_pr(s.gt_mesh_full[perm], s.gt_object_vertices, s.contact[perm])
+        thr = mini_assets.config.contact_threshold
+        base = metrics.contact_pr(s.gt_mesh_full, s.gt_object_vertices, s.contact, thr)
+        shuffled = metrics.contact_pr(s.gt_mesh_full[perm], s.gt_object_vertices, s.contact[perm], thr)
         assert base == shuffled
 
     def test_length_mismatch(self, rng):
         with pytest.raises(DimensionError):
             metrics.contact_pr(rng.normal(size=(5, 3)), rng.normal(size=(3, 3)),
-                               np.zeros(4, dtype=bool))
+                               np.zeros(4, dtype=bool), 0.05)
 
 
 class TestAggregate:

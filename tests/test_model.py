@@ -1,7 +1,7 @@
 """Network architecture tests: contracts, identities, equivariance."""
 
 import copy
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -144,65 +144,81 @@ class TestGraphResidualBlock:
             model.graph_residual_block(x, np.eye(5), dc.tensor(np.zeros((3, 3))))
 
 
+def _posed_box(init, assets):
+    """The box template under the init axis-angle and translation, in float64."""
+    aa = init.axis_angle.data.reshape(3).astype(np.float64)
+    return assets.objects["box"].mesh.vertices @ scenegen.rodrigues(aa).T + init.translation.data.reshape(3)
+
+
 class TestInitHead:
     def test_feature_grid_shape(self, mini_net, mini_sample, mini_config):
-        grid, init = mini_net.init_head(mini_sample.channels)
+        grid, init = mini_net.init_head(mini_sample.channels, "box")
         assert grid.data.shape == (16, mini_config.res // 8, mini_config.res // 8)
 
     def test_zero_input_finite(self, mini_net, mini_config):
-        grid, init = mini_net.init_head(np.zeros((5, mini_config.res, mini_config.res), dtype=np.float32))
-        queries = mini_net.build_queries(grid, init, "box")
-        for t in (grid, init.theta, init.joints, init.mesh_coarse, init.object_vertices, queries.tokens):
+        grid, init = mini_net.init_head(np.zeros((5, mini_config.res, mini_config.res), dtype=np.float32), "box")
+        tokens = mini_net.build_queries(grid, init)
+        for t in (grid, init.theta, init.joints, init.mesh_coarse, init.object_vertices, tokens):
             assert np.isfinite(t.data).all()
 
     def test_camera_scale_positive(self, mini_net, mini_sample):
-        _, init = mini_net.init_head(mini_sample.channels)
+        _, init = mini_net.init_head(mini_sample.channels, "box")
         assert float(init.cam_scale.data.reshape(())) > 0
 
     def test_init_mesh_consistency(self, mini_net, mini_sample, mini_assets):
         # coarse init mesh is exactly the downsampled full init mesh
-        _, init = mini_net.init_head(mini_sample.channels)
+        _, init = mini_net.init_head(mini_sample.channels, "box")
         expected = init.mesh_full.data[mini_assets.operators.coarse_indices]
         assert np.array_equal(init.mesh_coarse.data, expected)
 
+    def test_object_vertices_pose_the_template(self, mini_net, mini_sample, mini_assets):
+        # complete without build_queries: the rigid construction of the template from the init pose
+        _, init = mini_net.init_head(mini_sample.channels, "box")
+        assert isinstance(init.object_vertices, dc.Tensor)
+        assert np.allclose(init.object_vertices.data, _posed_box(init, mini_assets), atol=1e-5)
+
     def test_wrong_resolution(self, mini_net):
         with pytest.raises(DimensionError):
-            mini_net.init_head(np.zeros((5, 16, 16), dtype=np.float32))
+            mini_net.init_head(np.zeros((5, 16, 16), dtype=np.float32), "box")
 
 
 class TestBuildQueries:
     def test_token_shape(self, mini_net, mini_sample, mini_assets):
-        grid, init = mini_net.init_head(mini_sample.channels)
-        q = mini_net.build_queries(grid, init, "box")
+        grid, init = mini_net.init_head(mini_sample.channels, "box")
+        tokens = mini_net.build_queries(grid, init)
         j = mini_assets.body.num_joints
         v0 = mini_assets.operators.sizes[0]
-        assert q.tokens.data.shape == (j + v0 + 64, 16 + 3)
-        assert q.boundaries == (j, j + v0, j + v0 + 64)
+        assert tokens.data.shape == (j + v0 + 64, 16 + 3)
+        # forward splits the tokens into joints, coarse human vertices and object vertices here
+        n = mini_net.num_joints
+        assert (n, n + mini_net.v0, mini_net.num_tokens) == (j, j + v0, j + v0 + 64)
 
     def test_coordinate_tail(self, mini_net, mini_sample):
-        grid, init = mini_net.init_head(mini_sample.channels)
-        q = mini_net.build_queries(grid, init, "box")
+        grid, init = mini_net.init_head(mini_sample.channels, "box")
+        tokens = mini_net.build_queries(grid, init)
         coords = np.concatenate(
             [init.joints.data, init.mesh_coarse.data, init.object_vertices.data], axis=0
         )
-        assert np.allclose(q.tokens.data[:, -3:], coords, atol=1e-6)
+        assert np.allclose(tokens.data[:, -3:], coords, atol=1e-6)
 
     def test_constant_grid_tokens_differ_only_in_tail(self, mini_net, mini_sample):
-        grid, init = mini_net.init_head(mini_sample.channels)
+        grid, init = mini_net.init_head(mini_sample.channels, "box")
         const_grid = dc.tensor(np.full(grid.data.shape, 0.5, dtype=np.float32))
-        q = mini_net.build_queries(const_grid, init, "box")
-        feats = q.tokens.data[:, :-3]
+        feats = mini_net.build_queries(const_grid, init).data[:, :-3]
         assert np.allclose(feats, feats[0], atol=1e-6)
 
+    def test_leaves_init_unchanged(self, mini_net, mini_sample):
+        grid, init = mini_net.init_head(mini_sample.channels, "box")
+        before = {f.name: (getattr(init, f.name), getattr(init, f.name).data.copy()) for f in fields(init)}
+        mini_net.build_queries(grid, init)
+        for name, (tensor, data) in before.items():
+            assert getattr(init, name) is tensor, name
+            assert np.array_equal(tensor.data, data), name
+
     def test_object_init_respects_rigid_construction(self, mini_net, mini_sample, mini_assets):
-        _, init = mini_net.init_head(mini_sample.channels)
-        mini_net.build_queries(dc.tensor(np.zeros((16, 4, 4), dtype=np.float32)), init, "box")
-        aa = init.axis_angle.data.reshape(3).astype(np.float64)
-        expected = (
-            mini_assets.objects["box"].mesh.vertices @ scenegen.rodrigues(aa).T
-            + init.translation.data.reshape(3)
-        )
-        assert np.allclose(init.object_vertices.data, expected, atol=1e-5)
+        _, init = mini_net.init_head(mini_sample.channels, "box")
+        mini_net.build_queries(dc.tensor(np.zeros((16, 4, 4), dtype=np.float32)), init)
+        assert np.allclose(init.object_vertices.data, _posed_box(init, mini_assets), atol=1e-5)
 
 
 class TestRodriguesTensor:
@@ -223,9 +239,8 @@ class TestRodriguesTensor:
 
 class TestEncoderBlock:
     def test_output_width_follows_config(self, mini_net, mini_sample):
-        grid, init = mini_net.init_head(mini_sample.channels)
-        q = mini_net.build_queries(grid, init, "box")
-        x = q.tokens
+        grid, init = mini_net.init_head(mini_sample.channels, "box")
+        x = mini_net.build_queries(grid, init)
         for b, d in enumerate(mini_net.cfg.dims):
             x, _ = mini_net.encoder_block(x, b, "box")
             assert x.data.shape == (mini_net.num_tokens, d)

@@ -237,13 +237,13 @@ class TestContactMap:
     def test_far_object_no_contact(self, rng):
         human = rng.normal(size=(20, 3))
         obj = rng.normal(size=(6, 3)) + 10.0
-        assert not sg.contact_map_gt(human, obj).any()
+        assert not sg.contact_map_gt(human, obj, 0.05).any()
 
     def test_coincident_vertex(self, rng):
         human = rng.normal(size=(20, 3))
         obj = rng.normal(size=(6, 3)) + 10.0
         obj[2] = human[13]
-        assert sg.contact_map_gt(human, obj)[13]
+        assert sg.contact_map_gt(human, obj, 0.05)[13]
 
     def test_matches_double_loop_oracle(self, rng):
         for _ in range(50):
@@ -278,10 +278,10 @@ class TestContactMap:
         human = rng.normal(size=(20, 3))
         obj = human[:6] + 0.001
         human[[0, 1, 2]] = [[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]]
-        got = sg.contact_map_gt(human, obj)
+        got = sg.contact_map_gt(human, obj, 0.05)
         assert not got[:3].any() and got[3:6].all()
         obj[2, 0] = np.nan
-        assert not sg.contact_map_gt(human, obj).any()
+        assert not sg.contact_map_gt(human, obj, 0.05).any()
 
 
 class TestDataset:
